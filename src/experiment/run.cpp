@@ -248,7 +248,12 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
       watchdog = true;
       break;
     }
-    if (!sim.events().step()) break;
+    if (!sim.events().step()) {
+      // Nothing left to simulate before the deadline. Had the clock kept
+      // running, the time cap would have fired first if it is the earlier.
+      watchdog = cap_time && hard_stop < deadline;
+      break;
+    }
   }
 
   result.completed = done;

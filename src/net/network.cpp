@@ -7,25 +7,25 @@ namespace mpr::net {
 
 void Network::attach_host(IpAddr addr, DeliverFn deliver) {
   assert(deliver);
-  hosts_[addr] = std::move(deliver);
+  hosts_.set(addr, std::move(deliver));
 }
 
 void Network::set_access(IpAddr client_addr, Link* up, Link* down) {
   assert(up != nullptr && down != nullptr);
-  uplinks_[client_addr] = up;
-  downlinks_[client_addr] = down;
+  uplinks_.set(client_addr, up);
+  downlinks_.set(client_addr, down);
   up->set_drop_observer([this](const Packet& p) { notify_drop(p); });
   down->set_drop_observer([this](const Packet& p) { notify_drop(p); });
 }
 
 void Network::send(PacketPtr p) {
   notify(TraceEvent::Kind::kSend, *p);
-  if (const auto it = uplinks_.find(p->src); it != uplinks_.end()) {
-    it->second->send(std::move(p));
+  if (Link* const* up = uplinks_.find(p->src)) {
+    (*up)->send(std::move(p));
     return;
   }
-  if (const auto it = downlinks_.find(p->dst); it != downlinks_.end()) {
-    it->second->send(std::move(p));
+  if (Link* const* down = downlinks_.find(p->dst)) {
+    (*down)->send(std::move(p));
     return;
   }
   // No access network on either side (e.g. wired test rigs): direct delivery.
@@ -33,10 +33,10 @@ void Network::send(PacketPtr p) {
 }
 
 void Network::deliver_local(PacketPtr p) {
-  const auto it = hosts_.find(p->dst);
-  if (it == hosts_.end()) return;  // background/phantom traffic sinks here
+  DeliverFn* host = hosts_.find(p->dst);
+  if (host == nullptr) return;  // no such host: the packet sinks here
   notify(TraceEvent::Kind::kDeliver, *p);
-  it->second(std::move(p));
+  (*host)(std::move(p));
 }
 
 void Network::notify_drop(const Packet& p) { notify(TraceEvent::Kind::kDrop, p); }

@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/link.h"
@@ -42,7 +42,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Registers final delivery for packets addressed to `addr`.
+  /// Registers final delivery for packets addressed to `addr`. Topology
+  /// set-up: call before traffic flows.
   void attach_host(IpAddr addr, DeliverFn deliver);
 
   /// Registers the access links of a client interface. Packets sourced from
@@ -69,10 +70,30 @@ class Network {
  private:
   void notify(TraceEvent::Kind kind, const Packet& p);
 
+  /// Address-keyed table. A run has a handful of addresses (host interfaces,
+  /// client access links), so a linear scan beats hashing on every hop.
+  template <typename T>
+  struct AddrTable {
+    std::vector<std::pair<IpAddr, T>> entries;
+    [[nodiscard]] T* find(IpAddr a) {
+      for (auto& [key, value] : entries) {
+        if (key == a) return &value;
+      }
+      return nullptr;
+    }
+    void set(IpAddr a, T value) {
+      if (T* existing = find(a)) {
+        *existing = std::move(value);
+      } else {
+        entries.emplace_back(a, std::move(value));
+      }
+    }
+  };
+
   sim::Simulation& sim_;
-  std::unordered_map<IpAddr, DeliverFn> hosts_;
-  std::unordered_map<IpAddr, Link*> uplinks_;
-  std::unordered_map<IpAddr, Link*> downlinks_;
+  AddrTable<DeliverFn> hosts_;
+  AddrTable<Link*> uplinks_;
+  AddrTable<Link*> downlinks_;
   std::vector<Observer> observers_;
   sim::Duration wired_delay_{sim::Duration::millis(1)};
   std::uint64_t next_uid_{1};

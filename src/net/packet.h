@@ -354,7 +354,7 @@ struct Packet {
   std::uint32_t payload_bytes{0};
   bool is_retransmit{false};       // sender-side metadata for tracing
   sim::TimePoint first_sent_time;  // stamped by the sending endpoint
-  sim::TimePoint enqueue_time;     // stamped by the queue (CoDel sojourn time)
+  sim::TimePoint enqueue_time;     // spare: queues stamp net::QueueItem instead
   /// Owning pool when pool-managed (set once by PacketPool, never reset):
   /// lets the 8-byte PacketPtr handle recycle without carrying a pool
   /// pointer of its own.

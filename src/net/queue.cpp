@@ -7,37 +7,40 @@ namespace mpr::net {
 // ---------------------------------------------------------------------------
 // DropTailQueue.
 
-bool DropTailQueue::enqueue(PacketPtr p, sim::TimePoint now) {
-  const std::uint64_t wire = p->wire_bytes();
+bool DropTailQueue::enqueue(QueueItem item, sim::TimePoint now) {
+  const std::uint64_t wire = item.wire_bytes;
   if (bytes_ + wire > capacity_ && !queue_.empty()) {
-    report_drop(*p);  // handle destructs at return: packet recycled
+    report_drop(item);  // item destructs at return: packet recycled
     return false;
   }
-  p->enqueue_time = now;
+  item.enqueue_time = now;
   bytes_ += wire;
-  queue_.push_back(std::move(p));
+  note_admitted(item);
+  queue_.push_back(std::move(item));
   return true;
 }
 
-PacketPtr DropTailQueue::dequeue(sim::TimePoint /*now*/) {
-  if (queue_.empty()) return PacketPtr{};
-  PacketPtr p = queue_.pop_front();
-  bytes_ -= p->wire_bytes();
-  return p;
+QueueItem DropTailQueue::dequeue(sim::TimePoint /*now*/) {
+  if (queue_.empty()) return QueueItem{};
+  QueueItem item = queue_.pop_front();
+  bytes_ -= item.wire_bytes;
+  note_removed(item);
+  return item;
 }
 
 // ---------------------------------------------------------------------------
 // CodelQueue.
 
-bool CodelQueue::enqueue(PacketPtr p, sim::TimePoint now) {
-  const std::uint64_t wire = p->wire_bytes();
+bool CodelQueue::enqueue(QueueItem item, sim::TimePoint now) {
+  const std::uint64_t wire = item.wire_bytes;
   if (bytes_ + wire > params_.capacity_bytes && !queue_.empty()) {
-    report_drop(*p);
+    report_drop(item);
     return false;
   }
-  p->enqueue_time = now;
+  item.enqueue_time = now;
   bytes_ += wire;
-  queue_.push_back(std::move(p));
+  note_admitted(item);
+  queue_.push_back(std::move(item));
   return true;
 }
 
@@ -47,10 +50,11 @@ CodelQueue::Front CodelQueue::do_dequeue(sim::TimePoint now) {
     has_first_above_ = false;
     return f;
   }
-  PacketPtr p = queue_.pop_front();
-  bytes_ -= p->wire_bytes();
+  QueueItem item = queue_.pop_front();
+  bytes_ -= item.wire_bytes;
+  note_removed(item);
 
-  const sim::Duration sojourn = now - p->enqueue_time;
+  const sim::Duration sojourn = now - item.enqueue_time;
   if (sojourn < params_.target || bytes_ <= params_.mtu_bytes) {
     // Out of the "standing queue" regime.
     has_first_above_ = false;
@@ -60,15 +64,15 @@ CodelQueue::Front CodelQueue::do_dequeue(sim::TimePoint now) {
   } else if (now >= first_above_time_) {
     f.ok_to_drop = true;
   }
-  f.packet = std::move(p);
+  f.item = std::move(item);
   return f;
 }
 
-PacketPtr CodelQueue::dequeue(sim::TimePoint now) {
+QueueItem CodelQueue::dequeue(sim::TimePoint now) {
   Front f = do_dequeue(now);
-  if (!f.packet) {
+  if (!f.item) {
     dropping_ = false;
-    return PacketPtr{};
+    return QueueItem{};
   }
 
   if (dropping_) {
@@ -76,13 +80,13 @@ PacketPtr CodelQueue::dequeue(sim::TimePoint now) {
       dropping_ = false;
     } else {
       while (dropping_ && now >= drop_next_) {
-        report_drop(*f.packet);
+        report_drop(f.item);
         ++codel_drops_;
         ++count_;
         f = do_dequeue(now);  // previous front recycled by the assignment
-        if (!f.packet) {
+        if (!f.item) {
           dropping_ = false;
-          return PacketPtr{};
+          return QueueItem{};
         }
         if (!f.ok_to_drop) {
           dropping_ = false;
@@ -92,7 +96,7 @@ PacketPtr CodelQueue::dequeue(sim::TimePoint now) {
       }
     }
   } else if (f.ok_to_drop) {
-    report_drop(*f.packet);
+    report_drop(f.item);
     ++codel_drops_;
     f = do_dequeue(now);
     dropping_ = true;
@@ -104,9 +108,9 @@ PacketPtr CodelQueue::dequeue(sim::TimePoint now) {
       count_ = 1;
     }
     drop_next_ = control_law(now);
-    if (!f.packet) return PacketPtr{};
+    if (!f.item) return QueueItem{};
   }
-  return std::move(f.packet);
+  return std::move(f.item);
 }
 
 }  // namespace mpr::net

@@ -49,21 +49,19 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
   // Time-varying rate.
   if (profile.rate_sigma > 0.0) {
     down_rate_ = std::make_unique<RateProcess>(
-        sim,
         RateProcess::Config{.base_bps = profile.down_rate_bps,
                             .sigma = profile.rate_sigma,
                             .resample_interval = profile.rate_resample,
                             .max_factor = profile.rate_max_factor},
         sim.rng(base + ".rate.down"));
-    down_->set_rate_fn([rp = down_rate_.get()] { return rp->rate_bps(); });
+    down_->set_rate_fn([rp = down_rate_.get()](sim::TimePoint t) { return rp->rate_bps(t); });
     up_rate_ = std::make_unique<RateProcess>(
-        sim,
         RateProcess::Config{.base_bps = profile.up_rate_bps,
                             .sigma = profile.rate_sigma * 0.5,
                             .resample_interval = profile.rate_resample,
                             .max_factor = profile.rate_max_factor},
         sim.rng(base + ".rate.up"));
-    up_->set_rate_fn([rp = up_rate_.get()] { return rp->rate_bps(); });
+    up_->set_rate_fn([rp = up_rate_.get()](sim::TimePoint t) { return rp->rate_bps(t); });
   }
 
   // Link-layer ARQ delay.
@@ -74,12 +72,12 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
     up_->set_extra_delay_fn([m = arq_up_.get()] { return m->extra_delay(); });
   }
 
-  // RRC gate, shared by both directions.
+  // RRC gate, shared by both directions (each catches the other up first,
+  // so the state machine sees traffic in time order).
   if (profile.has_rrc) {
     rrc_ = std::make_unique<RrcStateMachine>(profile.rrc);
-    auto gate = [r = rrc_.get()](sim::TimePoint now) { return r->on_traffic(now); };
-    up_->set_gate_fn(gate);
-    down_->set_gate_fn(gate);
+    net::Link::share_gate(*up_, *down_,
+                          [r = rrc_.get()](sim::TimePoint now) { return r->on_traffic(now); });
   }
 
   // Background cross-traffic.
@@ -97,21 +95,28 @@ AccessNetwork::AccessNetwork(sim::Simulation& sim, net::Network& network,
   network.set_access(client_addr, up_.get(), down_.get());
 }
 
+void AccessNetwork::catch_up_links() {
+  up_->catch_up();
+  down_->catch_up();
+}
+
 void AccessNetwork::set_rate_scale(double factor) {
+  catch_up_links();  // service starts before now keep the old scale
   fault_rate_scale_ = std::max(factor, 1e-3);
   // Install composing rate fns (they stay installed once faults are in use;
   // with scale back at 1.0 they reduce to the original behaviour).
-  down_->set_rate_fn([this] {
-    const double base = down_rate_ ? down_rate_->rate_bps() : profile_.down_rate_bps;
+  down_->set_rate_fn([this](sim::TimePoint t) {
+    const double base = down_rate_ ? down_rate_->rate_bps(t) : profile_.down_rate_bps;
     return base * fault_rate_scale_;
   });
-  up_->set_rate_fn([this] {
-    const double base = up_rate_ ? up_rate_->rate_bps() : profile_.up_rate_bps;
+  up_->set_rate_fn([this](sim::TimePoint t) {
+    const double base = up_rate_ ? up_rate_->rate_bps(t) : profile_.up_rate_bps;
     return base * fault_rate_scale_;
   });
 }
 
 void AccessNetwork::set_fault_extra_delay(sim::Duration d) {
+  catch_up_links();  // completions before now keep the old delay
   fault_extra_delay_ = d;
   down_->set_extra_delay_fn([this] {
     const sim::Duration arq = arq_down_ ? arq_down_->extra_delay() : sim::Duration{};

@@ -140,6 +140,9 @@ class AccessNetwork {
 
  private:
   void install_loss_models();
+  /// Replays both links' phantom traffic up to now; called before changing
+  /// state their rate/delay callbacks read.
+  void catch_up_links();
 
   sim::Simulation& sim_;
   AccessProfile profile_;

@@ -1,48 +1,46 @@
 #include "netem/background.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace mpr::netem {
 
 BackgroundTraffic::BackgroundTraffic(sim::Simulation& sim, net::Link& link, Config config,
                                      sim::Rng rng)
-    : sim_{sim}, link_{link}, config_{config}, rng_{std::move(rng)} {
-  if (config_.on_utilization > 0.0 && config_.on_fraction > 0.0) schedule_next();
+    : link_{link},
+      config_{config},
+      rng_{std::move(rng)},
+      mean_gap_s_{static_cast<double>(config.packet_bytes) * 8.0 /
+                  (link.config().rate_bps * config.on_utilization)},
+      clock_{sim.now()} {
+  if (config_.on_utilization > 0.0 && config_.on_fraction > 0.0) link_.set_cross_traffic(this);
 }
 
-void BackgroundTraffic::schedule_next() {
-  if (stopped_) return;
-
-  const sim::TimePoint now = sim_.now();
-  // Advance ON/OFF phases past `now`.
-  while (now >= phase_end_) {
-    on_ = !on_;
-    const sim::Duration mean = on_ ? config_.mean_on : mean_off();
-    const double len_s = std::max(rng_.exponential(std::max(mean.to_seconds(), 1e-3)), 1e-4);
-    phase_end_ = phase_end_ + sim::Duration::from_seconds(len_s);
-  }
-
-  if (!on_) {
-    // Sleep through the OFF phase.
-    sim_.at(phase_end_, [this] { schedule_next(); });
-    return;
-  }
-
-  const double rate_bps = link_.config().rate_bps * config_.on_utilization;
-  const double mean_gap_s = static_cast<double>(config_.packet_bytes) * 8.0 / rate_bps;
-  const double gap_s = rng_.exponential(mean_gap_s);
-  sim_.after(sim::Duration::from_seconds(gap_s), [this] {
-    if (stopped_) return;
-    if (on_ && sim_.now() < phase_end_) {
-      net::PacketPtr p = sim_.service<net::PacketPool>().acquire();
-      p->src = config_.phantom_src;
-      p->dst = config_.phantom_dst;
-      p->payload_bytes = config_.packet_bytes - 40;
-      ++injected_;
-      link_.send(std::move(p));
+const net::CrossTraffic::Arrival* BackgroundTraffic::peek() {
+  // Walks the chain of generator events from clock_: each one advances the
+  // ON/OFF phases past its instant, then sleeps through an OFF phase (next
+  // event at the phase end) or draws the gap to the next arrival event. An
+  // arrival landing at or after its phase's end offers nothing and is just
+  // the next generator event.
+  while (!pending_) {
+    while (clock_ >= phase_end_) {
+      on_ = !on_;
+      const sim::Duration mean = on_ ? config_.mean_on : mean_off();
+      const double len_s = std::max(rng_.exponential(std::max(mean.to_seconds(), 1e-3)), 1e-4);
+      phase_end_ = phase_end_ + sim::Duration::from_seconds(len_s);
     }
-    schedule_next();
-  });
+    const sim::TimePoint scheduled_at = clock_;
+    if (!on_) {
+      clock_ = phase_end_;
+      continue;
+    }
+    clock_ = clock_ + sim::Duration::from_seconds(rng_.exponential(mean_gap_s_));
+    if (clock_ < phase_end_) {
+      next_ = Arrival{clock_, scheduled_at, config_.packet_bytes};
+      pending_ = true;
+    }
+  }
+  return &next_;
 }
 
 }  // namespace mpr::netem

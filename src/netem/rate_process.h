@@ -12,7 +12,7 @@
 #include <cmath>
 
 #include "sim/rng.h"
-#include "sim/simulation.h"
+#include "sim/time.h"
 
 namespace mpr::netem {
 
@@ -26,13 +26,13 @@ class RateProcess {
     double max_factor{1.5};  // cap on rate above base (dips are the point)
   };
 
-  RateProcess(sim::Simulation& sim, Config config, sim::Rng rng)
-      : sim_{sim}, config_{config}, rng_{std::move(rng)}, current_bps_{config.base_bps} {}
+  RateProcess(Config config, sim::Rng rng)
+      : config_{config}, rng_{std::move(rng)}, current_bps_{config.base_bps} {}
 
-  /// Rate in bits/s at the current simulation time.
-  [[nodiscard]] double rate_bps() {
+  /// Rate in bits/s at `now`. Calls must come in non-decreasing time order
+  /// (a link's service starts, replayed phantom starts included, do).
+  [[nodiscard]] double rate_bps(sim::TimePoint now) {
     if (config_.sigma <= 0.0) return config_.base_bps;
-    const sim::TimePoint now = sim_.now();
     while (now >= next_resample_) {
       // log(median=1.0) == 0.0, hoisted out of the resample loop; identical
       // arithmetic to lognormal_median(1.0, sigma).
@@ -45,7 +45,6 @@ class RateProcess {
   }
 
  private:
-  sim::Simulation& sim_;
   Config config_;
   sim::Rng rng_;
   double current_bps_;

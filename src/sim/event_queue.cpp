@@ -18,6 +18,7 @@ constexpr std::size_t kInitialCapacity = 256;
 EventQueue::EventQueue() {
   heap_.reserve(kInitialCapacity);
   meta_.reserve(kInitialCapacity);
+  sched_ns_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
   batch_.reserve(64);
 }
@@ -43,6 +44,7 @@ std::uint32_t EventQueue::acquire_slot(Action&& action) {
 #endif
     arena_action(slot) = std::move(action);
     meta_[slot].live = 1;
+    sched_ns_[slot] = now_.ns();
     return slot;
   }
   const auto slot = static_cast<std::uint32_t>(slot_count_);
@@ -55,6 +57,7 @@ std::uint32_t EventQueue::acquire_slot(Action&& action) {
   }
   ++slot_count_;
   meta_.push_back(SlotMeta{0, 1});
+  sched_ns_.push_back(now_.ns());
   arena_action(slot) = std::move(action);
   return slot;
 }
@@ -193,7 +196,9 @@ void EventQueue::execute_slot(std::uint32_t slot, std::int64_t t_ns) {
   meta_[slot].live = 0;
   --live_count_;
   ++executed_;
+  dispatch_sched_ns_ = sched_ns_[slot];
   arena_action(slot)();
+  dispatch_sched_ns_ = kNoWheelEvent;
   release_slot(slot);
 }
 

@@ -33,6 +33,13 @@
 // tombstone sweep at the heap top touches 8-byte records, not action
 // cache lines.
 //
+// Scheduled-at instants: every slot also records now() at the moment its
+// event was scheduled, and while an event runs, scheduled_at() reports it.
+// Lazily replayed processes (net::Link's background cross-traffic) use it
+// to place their own virtual events at the same instant relative to the
+// running one: a virtual event at time t runs before the real event at t
+// only if it was scheduled at an earlier instant.
+//
 // The hot loop is batched: all events sharing the front timestamp are
 // popped in one pass into a scratch list and executed back-to-back with
 // the next slot's liveness prefetched, so the heap fixup and the action
@@ -107,6 +114,11 @@ class EventQueue {
 
   /// Number of live pending events.
   [[nodiscard]] std::size_t pending() const { return live_count_; }
+
+  /// The instant at which the currently executing event was scheduled;
+  /// TimePoint::max() when no event is executing (a touch from outside the
+  /// event loop comes after every event at now()).
+  [[nodiscard]] TimePoint scheduled_at() const { return TimePoint::from_ns(dispatch_sched_ns_); }
 
   /// Total events executed so far (for instrumentation and benchmarks).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -190,6 +202,7 @@ class EventQueue {
   // FlatVec keeps the reallocation out of line (see sim/flat_vec.h).
   FlatVec<HeapRec> heap_;
   FlatVec<SlotMeta> meta_;  // dense: liveness/generation only
+  FlatVec<std::int64_t> sched_ns_;  // per slot: now() when its event was scheduled
   FlatVec<Action*> arena_;  // stable owned chunks of actions (freed in dtor)
   std::size_t slot_count_{0};
   FlatVec<std::uint32_t> free_slots_;
@@ -202,6 +215,7 @@ class EventQueue {
   std::uint64_t executed_{0};
 
   static constexpr std::int64_t kNoWheelEvent = std::numeric_limits<std::int64_t>::max();
+  std::int64_t dispatch_sched_ns_{kNoWheelEvent};  // see scheduled_at()
 
 #if MPR_AUDIT
   check::TimeMonotonicAudit clock_audit_;

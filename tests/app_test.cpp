@@ -256,8 +256,8 @@ TEST(Streaming, UnderrunsAndMissesOnAsymmetricTwoPathTopology) {
   // 1 s period over ~2.3 Mbit/s aggregate take ~1.3 s: every block is late,
   // one long rebuffer episode.
   experiment::Testbed tb{quiet_config(5)};
-  tb.wifi_access().downlink().set_rate_fn([] { return 0.3e6; });
-  tb.cell_access().downlink().set_rate_fn([] { return 2.0e6; });
+  tb.wifi_access().downlink().set_rate_fn([](sim::TimePoint) { return 0.3e6; });
+  tb.cell_access().downlink().set_rate_fn([](sim::TimePoint) { return 2.0e6; });
   StreamingWorkload wl;
   wl.prefetch_bytes = 128 << 10;
   wl.block_bytes = 384 << 10;
@@ -301,8 +301,8 @@ TEST(Streaming, UnderrunsAndMissesOnAsymmetricTwoPathTopology) {
 TEST(Streaming, LateBlocksDetectedOnSlowPath) {
   experiment::Testbed tb{quiet_config()};
   // Throttle WiFi so a block cannot finish within the period.
-  tb.wifi_access().downlink().set_rate_fn([] { return 0.8e6; });
-  tb.cell_access().downlink().set_rate_fn([] { return 0.8e6; });
+  tb.wifi_access().downlink().set_rate_fn([](sim::TimePoint) { return 0.8e6; });
+  tb.cell_access().downlink().set_rate_fn([](sim::TimePoint) { return 0.8e6; });
   StreamingWorkload wl;
   wl.prefetch_bytes = 256 << 10;
   wl.block_bytes = 512 << 10;  // ~5 s at 0.8 Mbit/s

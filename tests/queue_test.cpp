@@ -28,7 +28,7 @@ TEST(DropTail, FifoOrderPreserved) {
     ASSERT_TRUE(q.enqueue(std::move(p), at_ms(0)));
   }
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const PacketPtr out = q.dequeue(at_ms(1));
+    const PacketPtr out = q.dequeue(at_ms(1)).packet;
     ASSERT_TRUE(static_cast<bool>(out));
     EXPECT_EQ(out->tcp.seq, i);
   }
@@ -39,7 +39,7 @@ TEST(DropTail, RefusesBeyondCapacityAndReportsDrop) {
   PacketPool pool;
   DropTailQueue q{3000};
   int drops = 0;
-  q.set_drop_hook([&](const Packet&) { ++drops; });
+  q.set_drop_hook([&](const QueueItem&) { ++drops; });
   EXPECT_TRUE(q.enqueue(pkt(pool, 1460), at_ms(0)));
   EXPECT_TRUE(q.enqueue(pkt(pool, 1460), at_ms(0)));  // 3000 bytes wire: fits at 1500x2
   EXPECT_FALSE(q.enqueue(pkt(pool, 1460), at_ms(0)));
@@ -73,7 +73,7 @@ TEST(Codel, NoDropsBelowTarget) {
                 .interval = sim::Duration::millis(100),
                 .capacity_bytes = 1 << 20}};
   int drops = 0;
-  q.set_drop_hook([&](const Packet&) { ++drops; });
+  q.set_drop_hook([&](const QueueItem&) { ++drops; });
   // Packets dequeued 1 ms after enqueue: sojourn < target, never drop.
   for (int round = 0; round < 100; ++round) {
     ASSERT_TRUE(q.enqueue(pkt(pool), at_ms(round * 2.0)));
@@ -89,7 +89,7 @@ TEST(Codel, DropsOnStandingQueue) {
                 .interval = sim::Duration::millis(100),
                 .capacity_bytes = 4 << 20}};
   int drops = 0;
-  q.set_drop_hook([&](const Packet&) { ++drops; });
+  q.set_drop_hook([&](const QueueItem&) { ++drops; });
   // Build a standing queue: enqueue much faster than dequeue, with every
   // dequeued packet having waited ~50 ms (> target) for > interval.
   double now = 0;
@@ -136,7 +136,7 @@ TEST(Codel, HardCapStillBounds) {
                 .interval = sim::Duration::millis(100),
                 .capacity_bytes = 4000}};
   int drops = 0;
-  q.set_drop_hook([&](const Packet&) { ++drops; });
+  q.set_drop_hook([&](const QueueItem&) { ++drops; });
   for (int i = 0; i < 10; ++i) q.enqueue(pkt(pool, 1460), at_ms(0));
   EXPECT_LE(q.bytes(), 4000u + 1500u);
   EXPECT_GT(drops, 0);
