@@ -10,6 +10,7 @@
 #include "analysis/trace_analyzer.h"
 #include "net/host.h"
 #include "net/link.h"
+#include "netem/background.h"
 #include "tcp/endpoint.h"
 #include "tcp/listener.h"
 
@@ -232,6 +233,37 @@ TEST(PacketTrace, RecordsDropsAsWellAsDeliveries) {
     if (r.kind == net::TraceEvent::Kind::kDrop) ++drops;
   }
   EXPECT_GT(drops, 0);
+}
+
+TEST(PacketTrace, BackgroundLoadedLinkCapturesOnlyClientFlows) {
+  // Heavy phantom cross-traffic shares the lossy downlink: phantoms are
+  // served, delayed and dropped there, but they are no Packets, so the
+  // capture holds only the client's and server's records.
+  TraceRig rig;
+  netem::BackgroundTraffic bg{rig.sim, *rig.down,
+                              {.on_utilization = 0.5, .on_fraction = 1.0,
+                               .mean_on = sim::Duration::seconds(60)},
+                              rig.sim.rng("bg")};
+  rig.run_transfer(1 << 20, 0.05);
+  std::uint64_t client_packets = 0;
+  std::uint64_t drop_records = 0;
+  for (const TraceRecord& r : rig.trace.records()) {
+    for (const net::IpAddr a : {r.flow.src.addr, r.flow.dst.addr}) {
+      EXPECT_TRUE(a == net::IpAddr{1} || a == net::IpAddr{10}) << net::to_string(a);
+    }
+    if (r.kind == net::TraceEvent::Kind::kSend && r.flow.dst.addr == net::IpAddr{1}) {
+      ++client_packets;
+    }
+    if (r.kind == net::TraceEvent::Kind::kDrop && r.flow.dst.addr == net::IpAddr{1}) {
+      ++drop_records;
+    }
+  }
+  const net::Link::Stats& down = rig.down->stats();
+  EXPECT_GT(bg.packets_injected(), client_packets);  // the link was background-loaded
+  EXPECT_EQ(down.packets_offered, client_packets + bg.packets_injected());
+  // Phantom drops count in the link's stats only.
+  EXPECT_GT(drop_records, 0u);
+  EXPECT_GT(down.packets_dropped_queue + down.packets_dropped_wire, drop_records);
 }
 
 TEST(Pcap, RoundTripPreservesHeaders) {

@@ -515,6 +515,50 @@ TEST(FallbackDisabled, RunReportsConnectionFailed) {
 }
 
 // ---------------------------------------------------------------------------
+// Background cross-traffic never passes the middlebox: `corrupt N` counts
+// the client's data segments only, however loaded the link.
+
+TEST(MiddleboxCrossTraffic, CorruptFourCorruptsEveryFourthClientSegment) {
+  sim::Simulation sim{5};
+  net::Network network{sim};
+  std::vector<std::uint64_t> corrupted_seqs;
+  std::uint64_t delivered = 0;
+  network.attach_host(net::IpAddr{1}, [&](net::PacketPtr p) {
+    ++delivered;
+    if (p->tcp.dss()->checksum != 0) corrupted_seqs.push_back(p->tcp.seq);
+  });
+  netem::AccessProfile profile = netem::wifi_hotspot();  // background on both links
+  profile.ge_down.reset();  // lossless wire: every client segment arrives
+  profile.background.on_fraction = 1.0;
+  profile.queue_down_bytes = 4 << 20;
+  netem::AccessNetwork access{sim, network, net::IpAddr{1}, profile};
+  netem::Middlebox& mbox = access.middlebox();
+  mbox.set_corrupt_every(4);
+
+  constexpr std::uint64_t kSegments = 40;
+  for (std::uint64_t i = 0; i < kSegments; ++i) {
+    sim.at(sim::TimePoint::origin() + sim::Duration::millis(20 * static_cast<std::int64_t>(i)),
+           [&sim, &network, i] {
+             net::PacketPtr p = sim.service<net::PacketPool>().acquire();
+             p->src = net::IpAddr{10};
+             p->dst = net::IpAddr{1};
+             p->payload_bytes = 1000;
+             p->tcp.seq = i;
+             p->tcp.set_dss(net::DssOption{.has_checksum = true});
+             network.send(std::move(p));
+           });
+  }
+  sim.run_for(sim::Duration::seconds(5));
+
+  EXPECT_GT(access.downlink().stats().packets_offered, 2 * kSegments);  // phantoms flowed
+  EXPECT_EQ(mbox.stats().packets_seen, kSegments);
+  EXPECT_EQ(mbox.stats().payloads_corrupted, kSegments / 4);
+  ASSERT_EQ(delivered, kSegments);
+  const std::vector<std::uint64_t> every_fourth{3, 7, 11, 15, 19, 23, 27, 31, 35, 39};
+  EXPECT_EQ(corrupted_seqs, every_fourth);
+}
+
+// ---------------------------------------------------------------------------
 // Watchdog: the max_sim_time / max_events caps abort a run deterministically
 // with their own outcome, distinguishable from a plain timeout.
 
@@ -535,6 +579,20 @@ TEST(Watchdog, EventCapAbortsTheRun) {
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.outcome, RunOutcome::kWatchdogAbort);
   EXPECT_LE(r.sim_stats.events_executed, 5001u);
+}
+
+TEST(Watchdog, DrainedQueueReportsTheOutcomeOfARunningClock) {
+  // The handshake fails fast and nothing is left to simulate long before
+  // the deadline. The outcome is the one a clock kept running would give:
+  // the time cap fires first when it is the earlier bound.
+  RunConfig rc = mbox_run(strip_syn_everywhere(), 1ull << 20);
+  rc.tcp_fallback = false;
+  rc.timeout = sim::Duration::seconds(120);
+  const TestbedConfig tb;
+  rc.max_sim_time = sim::Duration::seconds(60);
+  EXPECT_EQ(experiment::run_download(tb, rc).outcome, RunOutcome::kWatchdogAbort);
+  rc.max_sim_time = sim::Duration::seconds(120);  // the deadline comes first
+  EXPECT_EQ(experiment::run_download(tb, rc).outcome, RunOutcome::kConnectionFailed);
 }
 
 TEST(Watchdog, DisabledCapsLeaveRunsUntouched) {
