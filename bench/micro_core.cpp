@@ -11,9 +11,9 @@
 #include "net/link.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
+#include "sim/flat_vec.h"
 #include "sim/simulation.h"
 #include "sim/timing_wheel.h"
-#include "tcp/seg_ring.h"
 
 namespace {
 
@@ -51,9 +51,9 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel);
 
-void BM_EventQueueBatchPop(benchmark::State& state) {
-  // Many events per instant (fan-in heavy topologies): measures the batched
-  // same-timestamp dispatch against the per-pop heap fixup it replaced.
+void BM_EventQueueSameInstant(benchmark::State& state) {
+  // Many events per instant (fan-in heavy topologies): measures dispatch
+  // when every pop leaves an equal-time event on top of the heap.
   constexpr int kInstants = 1024;
   constexpr int kPerInstant = 16;
   for (auto _ : state) {
@@ -70,7 +70,7 @@ void BM_EventQueueBatchPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kInstants *
                           kPerInstant);
 }
-BENCHMARK(BM_EventQueueBatchPop);
+BENCHMARK(BM_EventQueueSameInstant);
 
 void BM_TimerWheelArmCancel(benchmark::State& state) {
   // The RTO pattern: every "ACK" cancels the pending far timer and re-arms
@@ -99,7 +99,7 @@ void BM_UnackedTracking(benchmark::State& state) {
   // The sender's retransmission-state loop in isolation: append a flight of
   // MSS segments at snd_nxt, then retire it front-to-back on cumulative
   // ACKs, with a SACK-style ordered probe per flight. This is the pattern
-  // unacked_ (tcp/seg_ring.h) sees on every RTT of a backlog transfer.
+  // unacked_ (sim::SeqFlatMap) sees on every RTT of a backlog transfer.
   struct Seg {
     std::uint32_t len{0};
     std::int64_t sent_ns{0};
@@ -110,7 +110,7 @@ void BM_UnackedTracking(benchmark::State& state) {
   constexpr int kFlight = 64;
   constexpr int kFlights = 256;
   for (auto _ : state) {
-    tcp::SegRing<Seg> unacked;
+    sim::SeqFlatMap<Seg> unacked;
     std::uint64_t snd_nxt = 1;
     std::uint64_t bytes = 0;
     for (int f = 0; f < kFlights; ++f) {

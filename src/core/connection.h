@@ -33,7 +33,6 @@
 #include "core/subflow.h"
 #include "net/host.h"
 #include "sim/flat_vec.h"
-#include "tcp/seg_ring.h"
 
 namespace mpr::core {
 
@@ -308,9 +307,9 @@ class MptcpConnection {
   /// queued again instead of being dropped by the dedup check — a cascading
   /// failure must not strand data permanently. A sorted flat map: sweeps on
   /// data-ack progress visit DSNs deterministically, and the on_data_ack
-  /// trim is a tail shift instead of per-node frees (the hotpath audit
+  /// trim pops from the front instead of freeing nodes (the hotpath audit
   /// bans allocation in that function's emitted code).
-  tcp::SeqFlatMap<std::uint8_t> reinjected_dsns_;
+  sim::SeqFlatMap<std::uint8_t> reinjected_dsns_;
   std::uint64_t reinjected_chunks_{0};
   /// Redundant-scheduler duplicates awaiting a second subflow: every fresh
   /// chunk handed out while the redundant strategy is active is queued here

@@ -85,13 +85,11 @@ bool ReorderBuffer::insert_impl(std::uint64_t dsn, std::uint32_t len, sim::TimeP
     // Drain anything this unblocked. Held segments may partially overlap
     // what was just delivered (differently-chunked retransmissions); trim
     // the delivered prefix rather than stalling on an inexact match.
-    while (!held_.empty()) {
-      auto it = held_.begin();
-      if (it->first > rcv_nxt_) break;
-      const std::uint64_t held_dsn = it->first;
-      const Held h = it->second;
+    while (!held_.empty() && held_.front().seq <= rcv_nxt_) {
+      const std::uint64_t held_dsn = held_.front().seq;
+      const Held h = held_.front().val;
       buffered_bytes_ -= h.len;
-      held_.erase(it);
+      held_.pop_front();
       if (held_dsn + h.len <= rcv_nxt_) {
         ++duplicates_;  // fully covered by what was delivered meanwhile
         continue;
@@ -109,7 +107,7 @@ bool ReorderBuffer::insert_impl(std::uint64_t dsn, std::uint32_t len, sim::TimeP
 
   // Out of order: hold it.
   if (buffered_bytes_ + len > capacity_) return false;
-  held_.emplace(dsn, Held{len, arrival, subflow_id});
+  held_.insert(dsn, Held{len, arrival, subflow_id});
   buffered_bytes_ += len;
   max_buffered_ = std::max(max_buffered_, buffered_bytes_);
   return true;

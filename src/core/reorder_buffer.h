@@ -10,9 +10,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <vector>
 
+#include "sim/flat_vec.h"
 #include "sim/time.h"
 
 namespace mpr::core {
@@ -48,7 +47,7 @@ class ReorderBuffer {
   [[nodiscard]] std::uint64_t duplicate_packets() const { return duplicates_; }
 
   /// One sample per delivered packet, in delivery order.
-  [[nodiscard]] const std::vector<OfoSample>& ofo_samples() const { return samples_; }
+  [[nodiscard]] const sim::FlatVec<OfoSample>& ofo_samples() const { return samples_; }
 
   /// Peak buffer occupancy observed (buffer-sizing ablation).
   [[nodiscard]] std::uint64_t max_buffered_bytes() const { return max_buffered_; }
@@ -65,16 +64,14 @@ class ReorderBuffer {
 
   std::uint64_t capacity_;
   std::uint64_t rcv_nxt_{0};
-  // Ordered in-order drain by DSN. Population is bounded by the receive
-  // window and only grows when paths diverge; candidate for a SeqFlatMap
-  // (tcp/seg_ring.h) if many-flow profiles show it hot.
-  // mpr-lint: allow(ordered-container)
-  std::map<std::uint64_t, Held> held_;
+  // Held segments by DSN, drained in order from the front. Population is
+  // bounded by the receive window and only grows when paths diverge.
+  sim::SeqFlatMap<Held> held_;
   std::uint64_t buffered_bytes_{0};
   std::uint64_t max_buffered_{0};
   std::uint64_t delivered_bytes_{0};
   std::uint64_t duplicates_{0};
-  std::vector<OfoSample> samples_;
+  sim::FlatVec<OfoSample> samples_;
 };
 
 }  // namespace mpr::core

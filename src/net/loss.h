@@ -7,7 +7,6 @@
 //   * GilbertElliottLoss — two-state bursty loss (good/bad channel).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -39,46 +38,11 @@ class BernoulliLoss final : public LossModel {
   BernoulliLoss(double probability, sim::Rng rng)
       : gate_{probability}, rng_{std::move(rng)} {}
 
-  [[nodiscard]] bool should_drop() override {
-    if (!geometric_skip_) return gate_.sample(rng_);
-    if (!skip_valid_) {
-      skip_ = next_gap();
-      skip_valid_ = true;
-    }
-    if (skip_ == 0) {
-      skip_valid_ = false;
-      return true;
-    }
-    --skip_;
-    return false;
-  }
-
-  /// Opt-in (default off): sample the *gap to the next drop* geometrically
-  /// — one engine draw per drop instead of one per packet. The drop pattern
-  /// is distributionally identical to per-packet Bernoulli(p) sampling
-  /// (pinned by LossTest.GeometricSkipMatchesBernoulliDistribution) but the
-  /// RNG draw sequence differs, so runs are not bit-comparable to the
-  /// default mode. No-op for degenerate p.
-  void enable_geometric_skip() {
-    if (!gate_.draws()) return;  // p in {0, 1} never draws in either mode
-    geometric_skip_ = true;
-    log1m_p_ = std::log1p(-gate_.p());
-  }
+  [[nodiscard]] bool should_drop() override { return gate_.sample(rng_); }
 
  private:
-  /// Packets that pass before the next drop: floor(log(1-u)/log(1-p)).
-  /// P(gap = 0) = P(u < p) = p, matching one Bernoulli trial per packet.
-  [[nodiscard]] std::uint64_t next_gap() {
-    const double u = rng_.uniform();
-    return static_cast<std::uint64_t>(std::log1p(-u) / log1m_p_);
-  }
-
   sim::BernoulliGate gate_;
   sim::Rng rng_;
-  bool geometric_skip_{false};
-  bool skip_valid_{false};
-  double log1m_p_{0.0};
-  std::uint64_t skip_{0};
 };
 
 /// Classic Gilbert-Elliott channel: the chain moves between a good state with

@@ -20,7 +20,6 @@ EventQueue::EventQueue() {
   meta_.reserve(kInitialCapacity);
   sched_ns_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
-  batch_.reserve(64);
 }
 
 EventQueue::~EventQueue() {
@@ -181,11 +180,16 @@ bool EventQueue::prepare_top(std::int64_t limit_ns) {
   }
 }
 
-void EventQueue::execute_slot(std::uint32_t slot, std::int64_t t_ns) {
+void EventQueue::execute_top() {
+  // prepare_top() made heap_[0] the earliest live event, so pop exactly it.
+  // Events it schedules for this same instant carry higher seqs and run
+  // after it, preserving FIFO order.
+  const std::int64_t t_ns = heap_[0].when_ns;
+  const std::uint32_t slot = slot_of(heap_[0].seq_slot);
+  heap_pop_top();
+  now_ = TimePoint::from_ns(t_ns);
 #if MPR_AUDIT
   clock_audit_.on_event(t_ns);
-#else
-  (void)t_ns;
 #endif
   // Mark dead before invoking so a cancel() of this very id returns false
   // (the event is running, not pending), then execute *in place*: the
@@ -202,35 +206,6 @@ void EventQueue::execute_slot(std::uint32_t slot, std::int64_t t_ns) {
   release_slot(slot);
 }
 
-void EventQueue::run_batch() {
-  // Pop the whole same-instant run in one pass, then execute back-to-back.
-  // prepare_top() already drained the wheel through this instant, so the
-  // run is complete; events scheduled *by* the batch for this same instant
-  // carry higher seqs and form the next batch, preserving FIFO order.
-  const std::int64_t t_ns = heap_[0].when_ns;
-  now_ = TimePoint::from_ns(t_ns);
-  batch_.clear();
-  do {
-    batch_.push_back(slot_of(heap_[0].seq_slot));
-    heap_pop_top();
-  } while (!heap_.empty() && heap_[0].when_ns == t_ns);
-
-  const std::size_t n = batch_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) {
-      __builtin_prefetch(&meta_[batch_[i + 1]]);
-      __builtin_prefetch(&arena_action(batch_[i + 1]));
-    }
-    // Liveness is re-checked here, not at pop: slot release is deferred so
-    // an action may cancel a later event in this very batch.
-    if (meta_[batch_[i]].live == 0) {
-      release_slot(batch_[i]);
-      continue;
-    }
-    execute_slot(batch_[i], t_ns);
-  }
-}
-
 bool EventQueue::step() {
   if (!prepare_top(kNoWheelEvent)) {
 #if MPR_AUDIT
@@ -243,26 +218,20 @@ bool EventQueue::step() {
 #endif
     return false;
   }
-  // Single-event semantics (callers interleave with their own checks), so
-  // no batching here: pop exactly the top, which prepare_top made live.
-  const std::int64_t t_ns = heap_[0].when_ns;
-  const std::uint32_t slot = slot_of(heap_[0].seq_slot);
-  heap_pop_top();
-  now_ = TimePoint::from_ns(t_ns);
-  execute_slot(slot, t_ns);
+  execute_top();
   return true;
 }
 
 void EventQueue::run_until(TimePoint deadline) {
   while (prepare_top(deadline.ns())) {
-    run_batch();
+    execute_top();
   }
   if (now_ < deadline) now_ = deadline;
 }
 
 void EventQueue::run() {
   while (prepare_top(kNoWheelEvent)) {
-    run_batch();
+    execute_top();
   }
 #if MPR_AUDIT
   if (live_count_ != 0) {

@@ -40,12 +40,10 @@
 // running one: a virtual event at time t runs before the real event at t
 // only if it was scheduled at an earlier instant.
 //
-// The hot loop is batched: all events sharing the front timestamp are
-// popped in one pass into a scratch list and executed back-to-back with
-// the next slot's liveness prefetched, so the heap fixup and the action
-// dispatch don't interleave their cache misses. Slot release is deferred
-// to execution time so an action may cancel a later event in the same
-// batch.
+// Dispatch: step(), run() and run_until() share one loop body — make the
+// heap top the earliest live event, pop it, run its action in place.
+// Events sharing an instant therefore run one at a time in seq order, and
+// an action may cancel any later event, same instant included.
 #pragma once
 
 #include <atomic>
@@ -192,11 +190,9 @@ class EventQueue {
   /// at or before the limit.
   bool prepare_top(std::int64_t limit_ns);
 
-  /// Executes every event at the current heap-top instant in one pass.
-  void run_batch();
-
-  /// Executes the live event in `slot` in place, then recycles the slot.
-  void execute_slot(std::uint32_t slot, std::int64_t t_ns);
+  /// Pops the heap top (prepare_top made it live), advances now() to its
+  /// time, executes its action in place, then recycles the slot.
+  void execute_top();
 
   // FlatVec, not std::vector: these five grow on the audited hot path, and
   // FlatVec keeps the reallocation out of line (see sim/flat_vec.h).
@@ -206,7 +202,6 @@ class EventQueue {
   FlatVec<Action*> arena_;  // stable owned chunks of actions (freed in dtor)
   std::size_t slot_count_{0};
   FlatVec<std::uint32_t> free_slots_;
-  FlatVec<std::uint32_t> batch_;  // scratch: slots of the popped run
   TimingWheel wheel_;
   std::int64_t wheel_next_due_ns_{kNoWheelEvent};
   TimePoint now_{};

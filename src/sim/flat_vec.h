@@ -2,37 +2,42 @@
 //
 // The hot-path symbol audit (tools/mpr_analyze.py, pass `hotpath`) checks
 // that the *emitted* code of the event-dispatch and packet-path functions
-// contains no allocation calls. std::vector/std::deque break that property
-// unpredictably: at -O2 the compiler sometimes inlines the whole
+// contains no allocation calls. std::vector/std::deque/std::map break that
+// property unpredictably: at -O2 the compiler sometimes inlines the whole
 // reallocation path — operator new, copy, operator delete — straight into
 // push_back's caller, dragging a cold slab of code into the hot function's
 // icache footprint and making "allocation-free" depend on inliner mood.
 //
-// FlatVec and FlatRing pin the structure instead: the fast path is a
-// bounds check plus a store, and every allocation lives in a
-// [[gnu::noinline, gnu::cold]] member the caller merely *calls* — the same
-// shape tcp/seg_ring.h already uses for SegRing::grow(). Amortized growth
-// still happens (pools and queues size themselves to their high-water
-// mark); it just can never be inlined back into audited code.
+// These containers pin the structure instead: the fast path is a bounds
+// check plus a store, and every allocation lives in a
+// [[gnu::noinline, gnu::cold]] grow() the caller merely *calls*. Amortized
+// growth still happens (pools and queues size themselves to their
+// high-water mark); it just can never be inlined back into audited code.
+// One container per shape, shared by sim, net, tcp and core:
 //
-//   FlatVec<T>   contiguous vector for trivially-copyable records (heap
-//                records, slot metadata, free lists). push_back_unchecked
-//                is for callers that maintain a capacity invariant
-//                elsewhere (e.g. PacketPool::release, whose freelist can
-//                never outgrow the storage the acquire path reserved).
-//   FlatRing<T>  power-of-two ring deque for move-only payloads (queue
-//                disciplines holding PacketPtr). Replaces std::deque,
-//                whose block map allocates on push and frees on pop right
-//                in the middle of enqueue/dequeue.
-//   FlatDeque<T> deque of trivially-copyable records supporting iteration
-//                and interior erase (the MPTCP reinjection queues). A
-//                FlatVec window [head, size): pop_front advances head and
-//                compacts lazily, erase shifts the contiguous tail.
+//   container      shape                              users
+//   -------------  ---------------------------------  ----------------------
+//   FlatVec<T>     contiguous vector of trivially     heap records, slot
+//                  copyable records;                  metadata, free lists,
+//                  push_back_unchecked for callers    OFO samples
+//                  that keep a capacity invariant
+//   FlatRing<T>    power-of-two FIFO ring of          queue disciplines
+//                  move-only payloads                 holding PacketPtr
+//   FlatDeque<T>   FlatVec window [head, size):       MPTCP reinjection and
+//                  O(1) amortized pop_front with      duplicate queues
+//                  lazy compaction, indexed access,
+//                  interior insert/erase shift the
+//                  tail
+//   SeqFlatMap<T>  FlatDeque of (seq, value) records  TCP send window and
+//                  sorted by seq: binary search,      out-of-order store,
+//                  append at the back, retire from    MPTCP reorder buffer
+//                  the front                          and reinjected DSNs
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <type_traits>
@@ -257,14 +262,30 @@ class FlatDeque {
   [[nodiscard]] std::size_t size() const { return vec_.size() - head_; }
   [[nodiscard]] bool empty() const { return head_ == vec_.size(); }
 
+  [[nodiscard]] T& operator[](std::size_t i) { return vec_[head_ + i]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return vec_[head_ + i]; }
   [[nodiscard]] T& front() { return vec_[head_]; }
   [[nodiscard]] const T& front() const { return vec_[head_]; }
+  [[nodiscard]] T& back() { return vec_.back(); }
 
   void push_back(const T& v) { vec_.push_back(v); }
 
-  void pop_front() {
-    assert(!empty());
-    ++head_;
+  /// Inserts `v` before the i-th element (i <= size()), shifting the tail.
+  /// By value: `v` may alias an element the growth path would free.
+  void insert_at(std::size_t i, T v) {
+    assert(i <= size());
+    vec_.push_back(v);  // the only growth point, out of line in FlatVec
+    T* pos = begin() + i;
+    std::copy_backward(pos, end() - 1, end());
+    *pos = v;
+  }
+
+  void pop_front() { pop_front(1); }
+
+  /// Drops the first `n` elements (n <= size()).
+  void pop_front(std::size_t n) {
+    assert(n <= size());
+    head_ += n;
     if (head_ == vec_.size()) {
       clear();
     } else if (head_ >= kCompactAt && head_ * 2 >= vec_.size()) {
@@ -299,6 +320,83 @@ class FlatDeque {
 
   FlatVec<T> vec_;
   std::size_t head_{0};
+};
+
+/// Records sorted by strictly increasing seq. Sequence tables grow at the
+/// back (the send window at snd_nxt, arrivals past the newest hole) and
+/// shrink from the front (cumulative acks, in-order drains), so both ends
+/// are O(1); a sparse interior insert shifts the tail.
+template <typename T>
+class SeqFlatMap {
+ public:
+  struct Rec {
+    std::uint64_t seq{0};
+    T val{};
+  };
+
+  [[nodiscard]] bool empty() const { return recs_.empty(); }
+  [[nodiscard]] std::size_t size() const { return recs_.size(); }
+
+  /// i-th record in sequence order (0 = lowest seq).
+  [[nodiscard]] Rec& at(std::size_t i) {
+    assert(i < size());
+    return recs_[i];
+  }
+  [[nodiscard]] const Rec& at(std::size_t i) const {
+    assert(i < size());
+    return recs_[i];
+  }
+  [[nodiscard]] Rec& front() { return recs_.front(); }
+  [[nodiscard]] Rec& back() { return recs_.back(); }
+
+  /// Appends a record; `seq` must exceed every stored seq.
+  void push_back(std::uint64_t seq, const T& val) {
+    assert(empty() || seq > back().seq);
+    recs_.push_back(Rec{seq, val});
+  }
+
+  /// Inserts (seq -> val); keeps the existing entry if `seq` is present.
+  void insert(std::uint64_t seq, const T& val) {
+    const std::size_t i = lower_bound(seq);
+    if (i < size() && recs_[i].seq == seq) return;
+    recs_.insert_at(i, Rec{seq, val});
+  }
+
+  /// Removes the lowest-seq record.
+  void pop_front() { recs_.pop_front(); }
+
+  /// Removes every record with rec.seq < seq (cumulative-ack sweep).
+  void erase_below(std::uint64_t seq) { recs_.pop_front(lower_bound(seq)); }
+
+  [[nodiscard]] bool contains(std::uint64_t seq) const {
+    const std::size_t i = lower_bound(seq);
+    return i < size() && recs_[i].seq == seq;
+  }
+
+  /// Value stored at exactly `seq`; nullptr if absent.
+  [[nodiscard]] T* find(std::uint64_t seq) {
+    const std::size_t i = lower_bound(seq);
+    if (i == size() || recs_[i].seq != seq) return nullptr;
+    return &recs_[i].val;
+  }
+
+  /// Index of the first record with rec.seq >= seq (size() if none).
+  [[nodiscard]] std::size_t lower_bound(std::uint64_t seq) const {
+    std::size_t lo = 0;
+    std::size_t hi = size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (recs_[mid].seq < seq) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  FlatDeque<Rec> recs_;
 };
 
 }  // namespace mpr::sim

@@ -13,10 +13,6 @@
 // equivalence against the real std:: objects is pinned by
 // RngSequence.* in tests/sim_test.cpp; any change here must keep that
 // suite green or outputs stop being comparable across PRs.
-//
-// Transforms that *do* change the draw sequence (the cached normal spare,
-// geometric-skip Bernoulli sampling in net/loss.h) are opt-in and default
-// off, with distributional-equivalence tests instead of sequence tests.
 #pragma once
 
 #include <cmath>
@@ -73,18 +69,6 @@ class Rng {
     return xm / std::pow(u, 1.0 / alpha);
   }
 
-  /// Opt-in (default off): keep the Marsaglia polar method's second normal
-  /// deviate and serve it on the next normal/lognormal call, the way a
-  /// long-lived std::normal_distribution object would. Halves the draws per
-  /// normal but CHANGES THE DRAW SEQUENCE relative to the default
-  /// (fresh-object, spare-discarded) semantics — never enable it where
-  /// bit-identical outputs across job counts or PRs are being compared.
-  void set_cache_normal_spare(bool on) {
-    cache_normal_spare_ = on;
-    if (!on) spare_valid_ = false;
-  }
-  [[nodiscard]] bool cache_normal_spare() const { return cache_normal_spare_; }
-
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:
@@ -97,14 +81,10 @@ class Rng {
   }
 
   /// Marsaglia polar method, operation-for-operation the libstdc++
-  /// std::normal_distribution rejection loop. By default the spare deviate
-  /// (x*mult) is discarded — matching a distribution object constructed
-  /// fresh per call, which is what this simulator always did.
+  /// std::normal_distribution rejection loop. The spare deviate (x*mult) is
+  /// discarded — matching a distribution object constructed fresh per call,
+  /// which is what this simulator always did.
   [[nodiscard]] double standard_normal() {
-    if (spare_valid_) {
-      spare_valid_ = false;
-      return spare_;
-    }
     double x;
     double y;
     double r2;
@@ -114,17 +94,10 @@ class Rng {
       r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
     const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-    if (cache_normal_spare_) {
-      spare_ = x * mult;
-      spare_valid_ = true;
-    }
     return y * mult;
   }
 
   std::mt19937_64 engine_;
-  double spare_{0.0};
-  bool spare_valid_{false};
-  bool cache_normal_spare_{false};
 };
 
 /// A Bernoulli(p) gate with the degenerate-p classification hoisted to

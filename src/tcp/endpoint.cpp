@@ -568,14 +568,14 @@ void TcpEndpoint::deliver_in_order() {
       // Fully superseded by an overlapping (re-segmented) delivery; a stale
       // head entry must not block the rest of the queue.
       ooo_bytes_ -= head.val.len;
-      ooo_.erase_at(0);
+      ooo_.pop_front();
       continue;
     }
     if (head.seq > rcv_nxt_) break;
     const std::uint64_t seq = head.seq;
     const RxSeg seg = head.val;
     ooo_bytes_ -= seg.len;
-    ooo_.erase_at(0);
+    ooo_.pop_front();
     deliver_from(seq, seg.len, seg.dss);
   }
 }

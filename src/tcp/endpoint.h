@@ -28,10 +28,10 @@
 
 #include "net/host.h"
 #include "net/packet.h"
+#include "sim/flat_vec.h"
 #include "tcp/config.h"
 #include "tcp/congestion.h"
 #include "tcp/metrics.h"
-#include "tcp/seg_ring.h"
 
 namespace mpr::tcp {
 
@@ -258,13 +258,13 @@ class TcpEndpoint : public FlowCc {
   TcpState state_{TcpState::kClosed};
   FlowMetrics metrics_;
 
-  // Sender. The retransmission state lives in a flat ring (tcp/seg_ring.h):
-  // segments are appended in sequence order at snd_nxt_ and retired from the
-  // front by cumulative ACKs, so no tree is needed — every ACK-side scan is
-  // a linear walk over contiguous memory.
+  // Sender. The retransmission state is a flat sequence map
+  // (sim/flat_vec.h): segments are appended in sequence order at snd_nxt_
+  // and retired from the front by cumulative ACKs, so no tree is needed —
+  // every ACK-side scan is a linear walk over contiguous memory.
   std::uint64_t snd_una_{0};
   std::uint64_t snd_nxt_{0};
-  SegRing<SegInfo> unacked_;
+  sim::SeqFlatMap<SegInfo> unacked_;
   std::uint64_t sacked_bytes_{0};
   std::uint64_t lost_bytes_{0};
   std::uint64_t highest_sacked_{0};
@@ -300,9 +300,9 @@ class TcpEndpoint : public FlowCc {
   sim::TimePoint syn_sent_time_;
 
   // Receiver. Out-of-order segments arrive sparsely and stay few (bounded
-  // by the receive window), so a sorted flat vector beats a tree here.
+  // by the receive window), so a sorted flat map beats a tree here.
   std::uint64_t rcv_nxt_{0};
-  SeqFlatMap<RxSeg> ooo_;
+  sim::SeqFlatMap<RxSeg> ooo_;
   std::uint64_t ooo_bytes_{0};
   std::uint32_t segs_since_ack_{0};
   std::uint32_t quickack_left_{0};

@@ -63,10 +63,30 @@ TEST(ReorderBuffer, DrainsMultipleHeldSegments) {
   rb.insert(2000, 1000, at_ms(1), 1);
   rb.insert(1000, 1000, at_ms(2), 1);
   rb.insert(3000, 1000, at_ms(3), 1);
+  // Hold 29 more segments up to DSN 30000, leaving holes at 5000 and 20000,
+  // then fill 5000: an insert between held segments.
+  for (std::uint64_t dsn = 4000; dsn <= 30000; dsn += 1000) {
+    if (dsn != 5000 && dsn != 20000) rb.insert(dsn, 1000, at_ms(4), 1);
+  }
+  rb.insert(5000, 1000, at_ms(5), 1);
   EXPECT_TRUE(order.empty());
+  EXPECT_EQ(rb.buffered_bytes(), 29000u);
+  // Stage one drains the 19 held segments below the hole at 20000.
   rb.insert(0, 1000, at_ms(10), 0);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1000, 2000, 3000}));
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t dsn = 0; dsn < 20000; dsn += 1000) want.push_back(dsn);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(rb.rcv_nxt(), 20000u);
+  EXPECT_EQ(rb.buffered_bytes(), 10000u);
+  // Stage two: filling the hole drains the other 10.
+  rb.insert(20000, 1000, at_ms(20), 0);
+  for (std::uint64_t dsn = 20000; dsn <= 30000; dsn += 1000) want.push_back(dsn);
+  EXPECT_EQ(order, want);
   EXPECT_EQ(rb.buffered_bytes(), 0u);
+  ASSERT_EQ(rb.ofo_samples().size(), 31u);
+  EXPECT_NEAR(rb.ofo_samples()[1].delay.to_millis(), 8.0, 1e-9);   // DSN 1000
+  EXPECT_NEAR(rb.ofo_samples()[5].delay.to_millis(), 5.0, 1e-9);   // DSN 5000
+  EXPECT_NEAR(rb.ofo_samples()[21].delay.to_millis(), 16.0, 1e-9);  // DSN 21000
 }
 
 TEST(ReorderBuffer, DuplicatesDetected) {

@@ -406,48 +406,6 @@ TEST(RngSequence, LogMedianFormMatchesMedianForm) {
   }
 }
 
-TEST(RngSequence, CachedSpareMatchesPersistentStdNormal) {
-  // With the opt-in spare cache the draw pattern matches a *long-lived*
-  // std::normal_distribution object instead: two canonical draws produce two
-  // deviates, served on consecutive calls.
-  Rng r{8128};
-  r.set_cache_normal_spare(true);
-  std::mt19937_64 eng{8128};
-  std::normal_distribution<double> dist{1.5, 2.0};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(r.normal(1.5, 2.0), dist(eng)) << "draw " << i;
-  }
-  EXPECT_EQ(r.engine()(), eng());
-}
-
-TEST(RngSequence, DisablingSpareCacheDropsPendingSpare) {
-  Rng ra{9001};
-  Rng rb{9001};
-  ra.set_cache_normal_spare(true);
-  (void)ra.normal(0.0, 1.0);  // leaves a cached spare behind
-  ra.set_cache_normal_spare(false);
-  (void)rb.normal(0.0, 1.0);
-  // Both must now run a fresh polar loop from identical engine states.
-  EXPECT_EQ(ra.normal(0.0, 1.0), rb.normal(0.0, 1.0));
-}
-
-TEST(RngSequence, CachedSpareKeepsDistributionMoments) {
-  Rng r{60902};
-  r.set_cache_normal_spare(true);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  constexpr int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i) {
-    const double v = r.normal(2.0, 3.0);
-    sum += v;
-    sum_sq += v * v;
-  }
-  const double mean = sum / kTrials;
-  const double var = sum_sq / kTrials - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.05);
-  EXPECT_NEAR(var, 9.0, 0.3);
-}
-
 TEST(ThreadPoolTest, RunsEverySubmittedJob) {
   ThreadPool pool{4};
   EXPECT_EQ(pool.thread_count(), 4u);

@@ -1,4 +1,5 @@
-// Tiny --flag=value / --flag value parser for the CLI tools.
+// Tiny --flag=value / --flag value parser for the CLI tools, plus the
+// topology-flag parsers the tools share (--mode, --carrier, --cc).
 #pragma once
 
 #include <cstdint>
@@ -7,6 +8,10 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "core/coupled_cc.h"
+#include "experiment/carriers.h"
+#include "experiment/run.h"
 
 namespace mpr::tools {
 
@@ -74,5 +79,28 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// `--mode`: sp-wifi | sp-cell | mp2 | mp4; anything else is mp2.
+[[nodiscard]] inline experiment::PathMode parse_mode(const std::string& s) {
+  if (s == "sp-wifi") return experiment::PathMode::kSingleWifi;
+  if (s == "sp-cell") return experiment::PathMode::kSingleCellular;
+  if (s == "mp4") return experiment::PathMode::kMptcp4;
+  return experiment::PathMode::kMptcp2;
+}
+
+/// `--carrier`: att | verizon (vzw) | sprint; anything else is att.
+[[nodiscard]] inline experiment::Carrier parse_carrier(const std::string& s) {
+  if (s == "verizon" || s == "vzw") return experiment::Carrier::kVerizon;
+  if (s == "sprint") return experiment::Carrier::kSprint;
+  return experiment::Carrier::kAtt;
+}
+
+/// `--cc`: coupled | olia | reno | vegas; anything else is coupled.
+[[nodiscard]] inline core::CcKind parse_cc(const std::string& s) {
+  if (s == "olia") return core::CcKind::kOlia;
+  if (s == "reno") return core::CcKind::kReno;
+  if (s == "vegas") return core::CcKind::kVegas;
+  return core::CcKind::kCoupled;
+}
 
 }  // namespace mpr::tools

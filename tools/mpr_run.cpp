@@ -53,26 +53,6 @@ using namespace mpr::experiment;
 
 namespace {
 
-PathMode parse_mode(const std::string& s) {
-  if (s == "sp-wifi") return PathMode::kSingleWifi;
-  if (s == "sp-cell") return PathMode::kSingleCellular;
-  if (s == "mp4") return PathMode::kMptcp4;
-  return PathMode::kMptcp2;
-}
-
-Carrier parse_carrier(const std::string& s) {
-  if (s == "verizon" || s == "vzw") return Carrier::kVerizon;
-  if (s == "sprint") return Carrier::kSprint;
-  return Carrier::kAtt;
-}
-
-core::CcKind parse_cc(const std::string& s) {
-  if (s == "olia") return core::CcKind::kOlia;
-  if (s == "reno") return core::CcKind::kReno;
-  if (s == "vegas") return core::CcKind::kVegas;
-  return core::CcKind::kCoupled;
-}
-
 /// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
 /// Returns false on an unknown name or malformed weight list.
 bool parse_sched(const std::string& spec, RunConfig& rc) {
@@ -268,12 +248,12 @@ int main(int argc, char** argv) {
   TestbedConfig tb;
   tb.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   tb.wifi = flags.get_bool("hotspot") ? netem::wifi_hotspot() : netem::wifi_home();
-  tb.cellular = carrier_profile(parse_carrier(flags.get("carrier", "att")));
+  tb.cellular = carrier_profile(tools::parse_carrier(flags.get("carrier", "att")));
   tb.cellular.codel_downlink = flags.get_bool("codel");
 
   RunConfig rc;
-  rc.mode = parse_mode(flags.get("mode", "mp2"));
-  rc.cc = parse_cc(flags.get("cc", "coupled"));
+  rc.mode = tools::parse_mode(flags.get("mode", "mp2"));
+  rc.cc = tools::parse_cc(flags.get("cc", "coupled"));
   if (const std::string sched = flags.get("sched", "minrtt"); !parse_sched(sched, rc)) {
     std::fprintf(stderr,
                  "mpr_run: --sched %s: expected minrtt | rr | roundrobin | "

@@ -5,7 +5,10 @@
 //   mpr_trace --size 1m --pcap out.pcap              # deliveries as pcap
 //   mpr_trace --pcap out.pcap --capture send         # sender-side capture
 //
-// Shares mpr_run's topology flags (--mode/--carrier/--cc/--size/--seed).
+// Shares mpr_run's topology flags (--mode/--carrier/--cc/--size/--seed) and
+// their parsers (cli_flags.h). The capture needs the testbed's trace, so the
+// download loop is its own and covers --mode sp-wifi and mp2 only;
+// --mode sp-cell and mp4 exit 1.
 #include <cstdio>
 #include <string>
 
@@ -13,6 +16,7 @@
 #include "app/http.h"
 #include "cli_flags.h"
 #include "experiment/carriers.h"
+#include "experiment/run.h"
 #include "experiment/testbed.h"
 
 using namespace mpr;
@@ -21,24 +25,28 @@ using namespace mpr::experiment;
 int main(int argc, char** argv) {
   const tools::Flags flags{argc, argv};
 
+  const std::string mode_flag = flags.get("mode", "mp2");
+  const PathMode mode = tools::parse_mode(mode_flag);
+  if (mode != PathMode::kSingleWifi && mode != PathMode::kMptcp2) {
+    std::fprintf(stderr, "mpr_trace: --mode %s is not supported; use sp-wifi or mp2\n",
+                 mode_flag.c_str());
+    return 1;
+  }
+
   TestbedConfig tb_cfg;
   tb_cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   tb_cfg.capture_trace = true;
-  const std::string carrier = flags.get("carrier", "att");
-  tb_cfg.cellular = carrier == "verizon" ? netem::verizon_lte()
-                    : carrier == "sprint" ? netem::sprint_evdo()
-                                          : netem::att_lte();
+  tb_cfg.cellular = carrier_profile(tools::parse_carrier(flags.get("carrier", "att")));
   Testbed tb{tb_cfg};
 
   core::MptcpConfig cfg;
-  if (flags.get("cc", "coupled") == "olia") cfg.cc = core::CcKind::kOlia;
-  if (flags.get("cc", "coupled") == "reno") cfg.cc = core::CcKind::kReno;
+  cfg.cc = tools::parse_cc(flags.get("cc", "coupled"));
   const std::uint64_t size = flags.get_size("size", 512 << 10);
 
   app::MptcpHttpServer server{tb.server(), kHttpPort, cfg, {},
                               [size](std::uint64_t) { return size; }};
   std::vector<net::IpAddr> addrs{kClientWifiAddr};
-  if (flags.get("mode", "mp2") != "sp-wifi") addrs.push_back(kClientCellAddr);
+  if (mode == PathMode::kMptcp2) addrs.push_back(kClientCellAddr);
   app::MptcpHttpClient client{tb.client(), cfg, addrs,
                               net::SocketAddr{kServerAddr1, kHttpPort}};
 
