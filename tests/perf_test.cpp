@@ -109,14 +109,14 @@ TEST(PacketHotPath, DownloadSteadyStateHasZeroPoolMisses) {
 }
 
 TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
-  // Regression pin for the hot-path work (PR 6: flat retransmission state,
-  // timing wheel, batched dispatch; PR 8: hot/cold Packet split, stable-slot
-  // event actions, RNG fast paths): a backlog-style two-path download must
-  // sustain a minimum event rate. The floor is deliberately conservative —
-  // roughly half of what the reference container sustains post-PR 8 — so it
-  // trips on "someone reintroduced a node-based container / per-pop heap
-  // fixup / per-call distribution object" regressions, not on machine
-  // jitter. Override with MPR_PERF_FLOOR_EVENTS_PER_SEC (0 disables).
+  // Regression pin for the hot-path work (flat sequence tables, timing
+  // wheel, hot/cold Packet split, stable-slot event actions, RNG fast
+  // paths): a backlog-style two-path download must sustain a minimum event
+  // rate. The floor is deliberately conservative — roughly half of what the
+  // reference container sustains — so it trips on "someone reintroduced a
+  // node-based container / per-call distribution object" regressions, not
+  // on machine jitter. Override with MPR_PERF_FLOOR_EVENTS_PER_SEC (0
+  // disables).
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
     (defined(MPR_AUDIT) && MPR_AUDIT)
   GTEST_SKIP() << "event-rate floor is only meaningful in uninstrumented builds";
