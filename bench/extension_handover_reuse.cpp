@@ -87,7 +87,7 @@ int main() {
   }
   std::printf("\nShape check: re-use delay grows with outage length — the stalled\n"
               "subflow probes at exponentially backed-off RTOs — but is bounded by\n"
-              "the dead-path RTO cap (TcpConfig::dead_rto_cap), so even a long\n"
+              "the dead-path RTO cap (tcp::kDeadRtoCap), so even a long\n"
               "outage leaves the restored path idle for at most about the cap.\n");
   return 0;
 }

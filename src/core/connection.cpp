@@ -7,84 +7,37 @@
 
 namespace mpr::core {
 
-namespace {
-/// MinRtt: prefer established subflows with the lowest smoothed RTT.
-class MinRttScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
+PacketScheduler::PacketScheduler(SchedulerKind kind, std::vector<double> weights)
+    : kind_{kind} {
+  if (kind_ != SchedulerKind::kWeighted) return;
+  weights_ = std::move(weights);
+  for (double& w : weights_) {
+    if (!std::isfinite(w) || w <= 0.0) w = 1.0;
+  }
+}
+
+void PacketScheduler::order(std::vector<MptcpSubflow*>& subflows) const {
+  if (kind_ == SchedulerKind::kMinRtt || kind_ == SchedulerKind::kRedundant) {
     std::stable_sort(subflows.begin(), subflows.end(),
                      [](const MptcpSubflow* a, const MptcpSubflow* b) {
                        return a->srtt() < b->srtt();
                      });
+    return;
   }
-};
-
-/// Deficit round-robin: the subflow that has been assigned the fewest
-/// data-level bytes pulls first, spreading data evenly regardless of RTT.
-/// Subflows without window space sort behind those with it: a
-/// cwnd-exhausted subflow (e.g. one collapsed to 1 MSS by an outage, with
-/// nothing in flight after loss marking) would otherwise keep the lowest
-/// deficit, soak up the front of every round and strand fresh chunks until
-/// RTO reinjection.
-class RoundRobinScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       if (a->has_window_space() != b->has_window_space()) {
-                         return a->has_window_space();
-                       }
-                       return a->scheduled_bytes() < b->scheduled_bytes();
-                     });
-  }
-};
-
-/// Weighted deficit round-robin: orders by scheduled bytes normalised by the
-/// configured per-subflow share, so a subflow with weight 3 carries ~3x the
-/// bytes of a weight-1 peer. Same window-space partition as round-robin.
-class WeightedScheduler final : public PacketScheduler {
- public:
-  explicit WeightedScheduler(const std::vector<double>& weights) : weights_{weights} {
-    for (double& w : weights_) {
-      if (!std::isfinite(w) || w <= 0.0) w = 1.0;
-    }
-  }
-
-  [[nodiscard]] double weight(std::uint8_t subflow_id) const override {
-    return subflow_id < weights_.size() ? weights_[subflow_id] : 1.0;
-  }
-
-  [[nodiscard]] bool enforces_shares() const override { return true; }
-
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [this](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       if (a->has_window_space() != b->has_window_space()) {
-                         return a->has_window_space();
-                       }
-                       return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
-                              static_cast<double>(b->scheduled_bytes()) / weight(b->id());
-                     });
-  }
-
- private:
-  std::vector<double> weights_;
-};
-
-/// Redundant: lowest-RTT pumping order like minrtt, but flags every fresh
-/// chunk for duplication onto a second subflow (the connection does the
-/// actual queueing in next_chunk_for).
-class RedundantScheduler final : public PacketScheduler {
- public:
-  void order(std::vector<MptcpSubflow*>& subflows) override {
-    std::stable_sort(subflows.begin(), subflows.end(),
-                     [](const MptcpSubflow* a, const MptcpSubflow* b) {
-                       return a->srtt() < b->srtt();
-                     });
-  }
-  [[nodiscard]] bool redundant() const override { return true; }
-};
-}  // namespace
+  // Deficit round-robin. Subflows without window space sort behind those
+  // with it: a cwnd-exhausted subflow (e.g. one collapsed to 1 MSS by an
+  // outage, with nothing in flight after loss marking) would otherwise keep
+  // the lowest deficit, soak up the front of every round and strand fresh
+  // chunks until RTO reinjection.
+  std::stable_sort(subflows.begin(), subflows.end(),
+                   [this](const MptcpSubflow* a, const MptcpSubflow* b) {
+                     if (a->has_window_space() != b->has_window_space()) {
+                       return a->has_window_space();
+                     }
+                     return static_cast<double>(a->scheduled_bytes()) / weight(a->id()) <
+                            static_cast<double>(b->scheduled_bytes()) / weight(b->id());
+                   });
+}
 
 std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
   if (s == "minrtt") return SchedulerKind::kMinRtt;
@@ -92,17 +45,6 @@ std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
   if (s == "weighted") return SchedulerKind::kWeighted;
   if (s == "redundant") return SchedulerKind::kRedundant;
   return std::nullopt;
-}
-
-std::unique_ptr<PacketScheduler> make_scheduler(SchedulerKind k,
-                                                const std::vector<double>& weights) {
-  switch (k) {
-    case SchedulerKind::kRoundRobin: return std::make_unique<RoundRobinScheduler>();
-    case SchedulerKind::kWeighted: return std::make_unique<WeightedScheduler>(weights);
-    case SchedulerKind::kRedundant: return std::make_unique<RedundantScheduler>();
-    case SchedulerKind::kMinRtt: break;
-  }
-  return std::make_unique<MinRttScheduler>();
 }
 
 // ---------------------------------------------------------------------------
@@ -118,8 +60,8 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       server_primary_{server},
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
-      scheduler_{make_scheduler(config.scheduler, config.scheduler_weights)},
-      rx_{config.receive_buffer} {
+      scheduler_{config.scheduler, config.scheduler_weights},
+      rx_{config.subflow.receive_buffer} {
   assert(!local_addrs_.empty());
   known_remote_addrs_.push_back(server.addr);
 #if MPR_AUDIT
@@ -148,8 +90,8 @@ MptcpConnection::MptcpConnection(net::Host& host, MptcpConfig config,
       advertise_addrs_{std::move(advertise)},
       local_key_{local_key},
       cc_{make_congestion_control(config.cc)},
-      scheduler_{make_scheduler(config.scheduler, config.scheduler_weights)},
-      rx_{config.receive_buffer} {
+      scheduler_{config.scheduler, config.scheduler_weights},
+      rx_{config.subflow.receive_buffer} {
   assert(capable_syn.tcp.mp_capable() != nullptr);
   remote_key_ = capable_syn.tcp.mp_capable()->sender_key;
   known_remote_addrs_.push_back(capable_syn.src);
@@ -363,7 +305,7 @@ void MptcpConnection::pump_all() {
     return sf->state() != tcp::TcpState::kEstablished &&
            sf->state() != tcp::TcpState::kCloseWait;
   });
-  scheduler_->order(order);
+  scheduler_.order(order);
 #if MPR_AUDIT
   {
     std::vector<check::SchedEntry> entries;
@@ -371,12 +313,11 @@ void MptcpConnection::pump_all() {
     for (const MptcpSubflow* sf : order) {
       entries.push_back(check::SchedEntry{
           sf->has_window_space(), sf->srtt().ns(),
-          static_cast<double>(sf->scheduled_bytes()) / scheduler_->weight(sf->id())});
+          static_cast<double>(sf->scheduled_bytes()) / scheduler_.weight(sf->id())});
     }
-    const bool by_space = config_.scheduler == SchedulerKind::kRoundRobin ||
-                          config_.scheduler == SchedulerKind::kWeighted;
-    const bool by_srtt = config_.scheduler == SchedulerKind::kMinRtt ||
-                         config_.scheduler == SchedulerKind::kRedundant;
+    const bool by_space = scheduler_.kind() == SchedulerKind::kRoundRobin ||
+                          scheduler_.kind() == SchedulerKind::kWeighted;
+    const bool by_srtt = !by_space;
     check::scheduler_pump_order(entries, by_space, by_srtt, local_key_,
                                 host_.sim().now().ns());
   }
@@ -391,11 +332,11 @@ void MptcpConnection::set_scheduler(SchedulerKind kind, std::vector<double> weig
 #if MPR_AUDIT
   check::scheduler_weights_valid(config_.scheduler_weights, local_key_);
 #endif
-  scheduler_ = make_scheduler(kind, config_.scheduler_weights);
+  scheduler_ = PacketScheduler{kind, config_.scheduler_weights};
   // Duplicates queued by the old strategy are opportunistic copies; the
   // originals are still outstanding on their subflows, so dropping the
   // queue cannot lose data.
-  if (!scheduler_->redundant()) dup_queue_.clear();
+  if (!scheduler_.redundant()) dup_queue_.clear();
   pump_all();
 }
 
@@ -505,17 +446,17 @@ std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::next_chunk_for(
   // lags; the laggard pulls the next chunk instead. Only subflows that
   // could actually send now (healthy, non-backup, window space) hold a
   // leader back, so a stalled path never throttles the connection.
-  if (scheduler_->enforces_shares()) {
+  if (scheduler_.enforces_shares()) {
     const double mine =
-        static_cast<double>(sf.scheduled_bytes()) / scheduler_->weight(sf.id());
-    const double slack = static_cast<double>(max_len) / scheduler_->weight(sf.id());
+        static_cast<double>(sf.scheduled_bytes()) / scheduler_.weight(sf.id());
+    const double slack = static_cast<double>(max_len) / scheduler_.weight(sf.id());
     for (const auto& other : subflows_) {
       if (other.get() == &sf || !other->healthy() || other->backup() ||
           !other->has_window_space()) {
         continue;
       }
       const double theirs = static_cast<double>(other->scheduled_bytes()) /
-                            scheduler_->weight(other->id());
+                            scheduler_.weight(other->id());
       if (mine > theirs + slack) return std::nullopt;
     }
   }
@@ -545,7 +486,7 @@ std::optional<tcp::TcpEndpoint::Chunk> MptcpConnection::next_chunk_for(
     chunk.data_fin = true;
     data_fin_sent_ = true;
   }
-  if (scheduler_->redundant()) {
+  if (scheduler_.redundant()) {
     // Queue a duplicate for another subflow — only when one exists, so the
     // queue cannot grow unbounded on a single-path connection. DATA_FIN
     // rides the original alone.
@@ -608,8 +549,7 @@ void MptcpConnection::strand(MptcpSubflow& sf) {
 }
 
 void MptcpConnection::on_subflow_rto(MptcpSubflow& sf) {
-  if (config_.reinjection &&
-      sf.consecutive_timeouts() >= config_.subflow.dead_rto_threshold) {
+  if (sf.consecutive_timeouts() >= tcp::kDeadRtoThreshold) {
     // A single timeout can be an isolated loss; reinject once the subflow
     // has stalled past the dead-path threshold.
     strand(sf);
@@ -623,8 +563,7 @@ void MptcpConnection::on_subflow_rto(MptcpSubflow& sf) {
 
 void MptcpConnection::on_subflow_connect_failed(MptcpSubflow& sf) {
   if (!failed_ && !closing()) {
-    if (role_ == Role::kClient && sf.kind() == MptcpSubflow::HandshakeKind::kJoin &&
-        config_.join_retry) {
+    if (role_ == Role::kClient && sf.kind() == MptcpSubflow::HandshakeKind::kJoin) {
       schedule_join_retry(sf.local().addr, sf.remote().addr);
     } else if (sf.kind() == MptcpSubflow::HandshakeKind::kCapable && !established_) {
       // The initial handshake gave up: there is no connection to fail over.
@@ -640,8 +579,8 @@ void MptcpConnection::schedule_join_retry(net::IpAddr local, net::IpAddr remote)
   JoinRetryState& st = join_retries_[key];
   if (st.timer != sim::kInvalidEventId) return;
   sim::Duration delay = config_.join_retry_initial;
-  for (int i = 0; i < st.attempts && delay < config_.join_retry_cap; ++i) delay = delay * 2;
-  delay = std::min(delay, config_.join_retry_cap);
+  for (int i = 0; i < st.attempts && delay < kJoinRetryCap; ++i) delay = delay * 2;
+  delay = std::min(delay, kJoinRetryCap);
   ++st.attempts;
   st.timer = host_.sim().after(delay, [this, local, remote, key] {
     join_retries_[key].timer = sim::kInvalidEventId;
@@ -687,7 +626,7 @@ bool MptcpConnection::any_viable_subflow() const {
       case tcp::TcpState::kCloseWait:
       case tcp::TcpState::kFinWait:
       case tcp::TcpState::kLastAck:
-        if (sf->consecutive_timeouts() < config_.subflow.dead_rto_threshold) return true;
+        if (sf->consecutive_timeouts() < tcp::kDeadRtoThreshold) return true;
         break;
       default:
         break;

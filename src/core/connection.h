@@ -36,7 +36,15 @@
 
 namespace mpr::core {
 
+/// MP_JOIN SYNs that exhausted their TCP-level retries are retried (the
+/// kernel path manager gives up forever; under scripted outages that
+/// permanently loses the second path). Backoff doubles from
+/// MptcpConfig::join_retry_initial up to this cap.
+inline constexpr sim::Duration kJoinRetryCap = sim::Duration::seconds(30);
+
 struct MptcpConfig {
+  /// Subflow TCP settings. `subflow.receive_buffer` also sizes the
+  /// connection-level receive window that every subflow advertises.
   tcp::TcpConfig subflow;
   CcKind cc{CcKind::kCoupled};
   SchedulerKind scheduler{SchedulerKind::kMinRtt};
@@ -53,16 +61,8 @@ struct MptcpConfig {
   bool simultaneous_syns{false};
   /// Linux receive-buffer penalization; the paper removes it (§3.1).
   bool penalization{false};
-  /// Reinject stranded data of a subflow after repeated RTOs.
-  bool reinjection{true};
-  std::uint64_t receive_buffer{8 * 1024 * 1024};
-  /// Retry MP_JOIN SYNs that exhausted their TCP-level retries (the kernel
-  /// path manager gives up forever; under scripted outages that permanently
-  /// loses the second path). Backoff doubles from `join_retry_initial` up to
-  /// `join_retry_cap`.
-  bool join_retry{true};
+  /// First backoff of an MP_JOIN retry (see kJoinRetryCap).
   sim::Duration join_retry_initial{sim::Duration::seconds(1)};
-  sim::Duration join_retry_cap{sim::Duration::seconds(30)};
   /// Fail the connection (error to the app, not a hang) once *every*
   /// subflow has been dead — no handshake in progress and past the
   /// consecutive-RTO threshold — for this long.
@@ -278,7 +278,7 @@ class MptcpConnection {
   std::uint64_t remote_key_{0};
 
   std::unique_ptr<tcp::CongestionControl> cc_;
-  std::unique_ptr<PacketScheduler> scheduler_;
+  PacketScheduler scheduler_;
   std::vector<std::unique_ptr<MptcpSubflow>> subflows_;
 
   // Receive side.

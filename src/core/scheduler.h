@@ -6,16 +6,16 @@
 //
 //  minrtt     — lowest smoothed RTT first (the Linux default the paper
 //               measured).
-//  roundrobin — deficit round-robin: the subflow with the fewest scheduled
-//               data-level bytes pulls first, spreading data evenly
-//               regardless of RTT. Subflows without congestion-window space
-//               are moved to the back of the order so a stalled path cannot
-//               soak up fresh chunks it can never send (it would strand
-//               them until RTO reinjection).
-//  weighted   — deficit round-robin over bytes/weight: per-subflow shares
-//               from MptcpConfig::scheduler_weights (by subflow id; missing
-//               or non-positive entries count as 1.0). Same cwnd-space
-//               partition as roundrobin.
+//  weighted   — deficit round-robin over bytes/weight: the subflow with
+//               the fewest scheduled data-level bytes per unit of share
+//               pulls first. Shares come from MptcpConfig::scheduler_weights
+//               (by subflow id; missing or non-positive entries count as
+//               1.0). Subflows without congestion-window space are moved to
+//               the back of the order so a stalled path cannot soak up
+//               fresh chunks it can never send (it would strand them until
+//               RTO reinjection).
+//  roundrobin — weighted with every share 1.0: data spreads evenly
+//               regardless of RTT, and no share is enforced.
 //  redundant  — lowest-RTT pumping order, but every fresh chunk handed to
 //               one subflow is also duplicated onto another established
 //               subflow ("Is two greater than one?"-style redundant
@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,27 +50,36 @@ enum class SchedulerKind { kMinRtt, kRoundRobin, kWeighted, kRedundant };
 /// Scenario/CLI name -> kind ("rr" and "roundrobin" both accepted).
 [[nodiscard]] std::optional<SchedulerKind> scheduler_from_string(const std::string& s);
 
+/// The dispatch strategy of one connection: its kind plus, for kWeighted,
+/// the per-subflow shares. A plain value; `order()` covers every kind.
 class PacketScheduler {
  public:
-  virtual ~PacketScheduler() = default;
+  /// `weights` are per-subflow-id shares, only meaningful for kWeighted
+  /// (ignored by the other strategies).
+  explicit PacketScheduler(SchedulerKind kind, std::vector<double> weights = {});
+
+  [[nodiscard]] SchedulerKind kind() const { return kind_; }
   /// Reorders `subflows` into pumping order (most preferred first).
-  virtual void order(std::vector<MptcpSubflow*>& subflows) = 0;
+  void order(std::vector<MptcpSubflow*>& subflows) const;
   /// Redundant dispatch: fresh chunks handed to one subflow are also
   /// duplicated onto another established subflow by the connection.
-  [[nodiscard]] virtual bool redundant() const { return false; }
+  [[nodiscard]] bool redundant() const { return kind_ == SchedulerKind::kRedundant; }
   /// The deficit weight applied to `subflow_id` (1.0 unless the scheduler
   /// is weighted and a share was configured for that id).
-  [[nodiscard]] virtual double weight(std::uint8_t /*subflow_id*/) const { return 1.0; }
+  [[nodiscard]] double weight(std::uint8_t subflow_id) const {
+    return subflow_id < weights_.size() ? weights_[subflow_id] : 1.0;
+  }
   /// Share enforcement: a subflow ahead of its weighted byte share declines
   /// fresh data while another usable subflow lags behind its share (the
   /// pumping order alone cannot cap a path — every subflow would still fill
   /// its congestion window).
-  [[nodiscard]] virtual bool enforces_shares() const { return false; }
-};
+  [[nodiscard]] bool enforces_shares() const { return kind_ == SchedulerKind::kWeighted; }
 
-/// `weights` are per-subflow-id shares, only meaningful for kWeighted
-/// (ignored by the other strategies).
-[[nodiscard]] std::unique_ptr<PacketScheduler> make_scheduler(
-    SchedulerKind k, const std::vector<double>& weights = {});
+ private:
+  SchedulerKind kind_;
+  /// Sanitized shares (non-finite or non-positive -> 1.0); empty unless
+  /// kind_ is kWeighted, so every other kind weighs each subflow 1.0.
+  std::vector<double> weights_;
+};
 
 }  // namespace mpr::core

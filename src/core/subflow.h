@@ -27,7 +27,7 @@ class MptcpSubflow final : public tcp::TcpEndpoint {
   /// A subflow is healthy when established and not in a timeout spiral.
   [[nodiscard]] bool healthy() const {
     return state() == tcp::TcpState::kEstablished &&
-           consecutive_timeouts() < config().dead_rto_threshold;
+           consecutive_timeouts() < tcp::kDeadRtoThreshold;
   }
   /// Changes this subflow's backup priority and signals the peer with
   /// MP_PRIO (sticky on outgoing packets; idempotent at the receiver).

@@ -90,54 +90,6 @@ T pick_weighted(const std::vector<std::pair<T, double>>& mix, double u, T fallba
   return mix.back().first;
 }
 
-// --- spec text parsing ---
-
-bool parse_bytes(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char suffix = tok.back();
-  std::uint64_t mult = 1;
-  std::string digits = tok;
-  if (suffix == 'k' || suffix == 'K') mult = 1024;
-  if (suffix == 'm' || suffix == 'M') mult = 1024 * 1024;
-  if (suffix == 'g' || suffix == 'G') mult = 1024ull * 1024 * 1024;
-  if (mult != 1) digits.pop_back();
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(digits, &pos);
-    if (pos != digits.size()) return false;
-    *out = v * mult;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_carrier_name(const std::string& s, Carrier* out) {
-  if (s == "att") *out = Carrier::kAtt;
-  else if (s == "verizon" || s == "vzw") *out = Carrier::kVerizon;
-  else if (s == "sprint") *out = Carrier::kSprint;
-  else return false;
-  return true;
-}
-
-bool parse_mode_name(const std::string& s, PathMode* out) {
-  if (s == "sp-wifi") *out = PathMode::kSingleWifi;
-  else if (s == "sp-cell") *out = PathMode::kSingleCellular;
-  else if (s == "mp2") *out = PathMode::kMptcp2;
-  else if (s == "mp4") *out = PathMode::kMptcp4;
-  else return false;
-  return true;
-}
-
-bool parse_cc_name(const std::string& s, core::CcKind* out) {
-  if (s == "reno") *out = core::CcKind::kReno;
-  else if (s == "coupled") *out = core::CcKind::kCoupled;
-  else if (s == "olia") *out = core::CcKind::kOlia;
-  else if (s == "vegas") *out = core::CcKind::kVegas;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
 std::uint64_t CampaignSpec::hash() const {
@@ -209,35 +161,35 @@ CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
     } else if (key == "carrier") {
       std::string name;
       double w = 0.0;
-      Carrier c{};
-      if (!(ls >> name) || !parse_carrier_name(name, &c) || !need_double(&w) || w <= 0.0) {
+      const std::optional<Carrier> c = ls >> name ? carrier_from_string(name) : std::nullopt;
+      if (!c || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "carrier: `att|verizon|sprint <weight>` expected");
       }
-      spec.carriers.emplace_back(c, w);
+      spec.carriers.emplace_back(*c, w);
     } else if (key == "mode") {
       std::string name;
       double w = 0.0;
-      PathMode m{};
-      if (!(ls >> name) || !parse_mode_name(name, &m) || !need_double(&w) || w <= 0.0) {
+      const std::optional<PathMode> m = ls >> name ? mode_from_string(name) : std::nullopt;
+      if (!m || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "mode: `sp-wifi|sp-cell|mp2|mp4 <weight>` expected");
       }
-      spec.modes.emplace_back(m, w);
+      spec.modes.emplace_back(*m, w);
     } else if (key == "cc") {
       std::string name;
       double w = 0.0;
-      core::CcKind c{};
-      if (!(ls >> name) || !parse_cc_name(name, &c) || !need_double(&w) || w <= 0.0) {
+      const std::optional<core::CcKind> c = ls >> name ? core::cc_from_string(name) : std::nullopt;
+      if (!c || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "cc: `reno|coupled|olia|vegas <weight>` expected");
       }
-      spec.ccs.emplace_back(c, w);
+      spec.ccs.emplace_back(*c, w);
     } else if (key == "size") {
       std::string tok;
       double w = 0.0;
-      std::uint64_t bytes = 0;
-      if (!(ls >> tok) || !parse_bytes(tok, &bytes) || bytes == 0 || !need_double(&w) || w <= 0.0) {
+      const std::optional<std::uint64_t> bytes = ls >> tok ? size_from_string(tok) : std::nullopt;
+      if (!bytes || *bytes == 0 || !need_double(&w) || w <= 0.0) {
         return fail(line_no, "size: `<bytes[k|m|g]> <weight>` expected");
       }
-      spec.sizes.emplace_back(bytes, w);
+      spec.sizes.emplace_back(*bytes, w);
     } else if (key == "hotspot-prob") {
       if (!need_double(&spec.hotspot_prob) || spec.hotspot_prob < 0.0 || spec.hotspot_prob > 1.0) {
         return fail(line_no, "hotspot-prob: probability in [0,1] expected");

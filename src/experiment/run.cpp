@@ -18,6 +18,14 @@ std::string to_string(PathMode m) {
   return "?";
 }
 
+std::optional<PathMode> mode_from_string(const std::string& s) {
+  if (s == "sp-wifi") return PathMode::kSingleWifi;
+  if (s == "sp-cell") return PathMode::kSingleCellular;
+  if (s == "mp2") return PathMode::kMptcp2;
+  if (s == "mp4") return PathMode::kMptcp4;
+  return std::nullopt;
+}
+
 std::string to_string(RunOutcome o) {
   switch (o) {
     case RunOutcome::kCompleted: return "completed";
@@ -65,6 +73,10 @@ void collect_mptcp(RunResult& result, core::MptcpConnection& client_conn,
 
 RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg) {
   Testbed tb{testbed_cfg};
+  return run_download(tb, run_cfg);
+}
+
+RunResult run_download(Testbed& tb, const RunConfig& run_cfg) {
   sim::Simulation& sim = tb.sim();
   if (tb.trace() != nullptr) {
     // ~1 send + 1 deliver per data packet plus ACK traffic and handshakes.
@@ -133,7 +145,6 @@ RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cf
     mcfg.scheduler_weights = run_cfg.scheduler_weights;
     mcfg.simultaneous_syns = run_cfg.simultaneous_syns;
     mcfg.penalization = run_cfg.penalization;
-    mcfg.receive_buffer = run_cfg.receive_buffer;
     mcfg.dss_checksum = run_cfg.dss_checksum;
     mcfg.checksum_teardown = run_cfg.checksum_teardown;
     mcfg.allow_tcp_fallback = run_cfg.tcp_fallback;

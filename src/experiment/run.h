@@ -19,6 +19,8 @@ namespace mpr::experiment {
 enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 
 [[nodiscard]] std::string to_string(PathMode m);
+/// Scenario/CLI name -> mode: sp-wifi | sp-cell | mp2 | mp4.
+[[nodiscard]] std::optional<PathMode> mode_from_string(const std::string& s);
 
 struct RunConfig {
   PathMode mode{PathMode::kMptcp2};
@@ -134,5 +136,9 @@ struct RunResult {
 
 /// Builds a fresh testbed and performs one measurement.
 [[nodiscard]] RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg);
+/// Performs one measurement on `tb`, which must not have run yet. The
+/// testbed outlives the run, so its trace (TestbedConfig::capture_trace)
+/// stays readable afterwards.
+[[nodiscard]] RunResult run_download(Testbed& tb, const RunConfig& run_cfg);
 
 }  // namespace mpr::experiment

@@ -1,6 +1,8 @@
 #include "experiment/table.h"
 
+#include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace mpr::experiment {
 
@@ -37,6 +39,27 @@ std::string fmt_size(std::uint64_t bytes) {
     std::snprintf(buf, sizeof buf, "%lluB", static_cast<unsigned long long>(bytes));
   }
   return buf;
+}
+
+std::optional<std::uint64_t> size_from_string(const std::string& s) {
+  std::uint64_t mult = 1;
+  std::size_t digits = s.size();
+  if (!s.empty()) {
+    switch (s.back()) {
+      case 'k': case 'K': mult = 1024; break;
+      case 'm': case 'M': mult = 1024 * 1024; break;
+      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
+      default: break;
+    }
+    if (mult != 1) --digits;
+  }
+  std::uint64_t v = 0;
+  const char* end = s.data() + digits;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v > std::numeric_limits<std::uint64_t>::max() / mult) {
+    return std::nullopt;
+  }
+  return v * mult;
 }
 
 }  // namespace mpr::experiment

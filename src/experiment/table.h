@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,5 +25,10 @@ void print_row(const std::vector<std::string>& cells);
 
 /// Human file size ("64KB", "4MB").
 [[nodiscard]] std::string fmt_size(std::uint64_t bytes);
+
+/// Size in bytes from "512", "64k", "4m" or "1g" (binary multiples, either
+/// case); nullopt for anything else, including signs, fractions and
+/// overflow.
+[[nodiscard]] std::optional<std::uint64_t> size_from_string(const std::string& s);
 
 }  // namespace mpr::experiment

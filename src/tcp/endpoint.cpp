@@ -45,7 +45,7 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
       local_{local},
       remote_{remote},
       config_{config},
-      rto_{config.initial_rto} {
+      rto_{kInitialRto} {
   if (cc == nullptr) {
     owned_cc_ = std::make_unique<NewRenoCc>();
     cc_ = owned_cc_.get();
@@ -53,13 +53,13 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
     cc_ = cc;
   }
   cc_->register_flow(*this);
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments) * config_.mss;
+  cwnd_ = static_cast<double>(kInitialCwndSegments) * kMss;
   ssthresh_ = config_.initial_ssthresh;
   if (config_.metrics_cache != nullptr) {
     // Linux tcp_metrics: inherit the cached post-loss ssthresh (§3.1 —
     // the paper disables this; see TcpConfig::metrics_cache).
     if (const auto cached = config_.metrics_cache->lookup_ssthresh(remote_.addr)) {
-      ssthresh_ = std::max<std::uint64_t>(*cached, 2 * config_.mss);
+      ssthresh_ = std::max<std::uint64_t>(*cached, 2 * kMss);
     }
   }
   quickack_left_ = config_.quickack_segments;
@@ -153,10 +153,10 @@ void TcpEndpoint::pump() {
 
     if (flight >= wnd) break;
     const std::uint64_t room = wnd - flight;
-    if (room < config_.mss && flight > 0) break;  // avoid silly-window segments
+    if (room < kMss && flight > 0) break;  // avoid silly-window segments
 
     const auto chunk = next_chunk(static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(room, config_.mss)));
+        std::min<std::uint64_t>(room, kMss)));
     if (!chunk || chunk->len == 0) {
       maybe_send_fin();
       break;
@@ -190,7 +190,7 @@ net::PacketPtr TcpEndpoint::make_packet(std::uint8_t flags, std::uint64_t seq,
   p.tcp.wnd = advertised_window();
   p.payload_bytes = payload;
   p.first_sent_time = sim().now();
-  if (config_.sack_enabled && (!ooo_.empty() || pending_dsack_)) fill_sack_blocks(p);
+  if (!ooo_.empty() || pending_dsack_) fill_sack_blocks(p);
   return pkt;
 }
 
@@ -363,7 +363,7 @@ void TcpEndpoint::decorate_outgoing(net::Packet& /*p*/) {}
 void TcpEndpoint::process_ack_side(const net::Packet& p) {
   if (!p.tcp.has(net::kFlagAck)) return;
   peer_rwnd_ = p.tcp.wnd;
-  if (config_.sack_enabled && !p.tcp.sack.empty()) process_sack(p.tcp.sack);
+  if (!p.tcp.sack.empty()) process_sack(p.tcp.sack);
 
   const std::uint64_t ack = p.tcp.ack;
   if (ack > snd_una_) {
@@ -437,8 +437,8 @@ void TcpEndpoint::process_ack_side(const net::Packet& p) {
     if (frto_active_) frto_genuine_loss();
     update_loss_marks();
     if (!in_recovery_ &&
-        (dupacks_ >= config_.dupack_threshold ||
-         sacked_bytes_ >= static_cast<std::uint64_t>(config_.dupack_threshold) * config_.mss)) {
+        (dupacks_ >= kDupackThreshold ||
+         sacked_bytes_ >= static_cast<std::uint64_t>(kDupackThreshold) * kMss)) {
       enter_recovery(/*loss_state=*/false);
     }
     pump();  // SACK may have freed pipe space
@@ -464,9 +464,8 @@ void TcpEndpoint::process_sack(const net::SackList& blocks) {
 }
 
 void TcpEndpoint::update_loss_marks() {
-  if (!config_.sack_enabled || highest_sacked_ <= snd_una_) return;
-  const std::uint64_t lookahead =
-      static_cast<std::uint64_t>(config_.dupack_threshold - 1) * config_.mss;
+  if (highest_sacked_ <= snd_una_) return;
+  const std::uint64_t lookahead = static_cast<std::uint64_t>(kDupackThreshold - 1) * kMss;
   bool marked = false;
   for (std::size_t i = 0; i < unacked_.size(); ++i) {
     SegInfo& seg = unacked_.at(i).val;
@@ -537,9 +536,7 @@ void TcpEndpoint::process_data_side(const net::Packet& p) {
       deliver_in_order();
     } else {
       out_of_order = true;  // stale duplicate: ack immediately, report DSACK
-      if (config_.sack_enabled) {
-        pending_dsack_ = net::SackBlock{seq, seq + p.payload_bytes};
-      }
+      pending_dsack_ = net::SackBlock{seq, seq + p.payload_bytes};
     }
   }
 
@@ -616,7 +613,7 @@ void TcpEndpoint::ack_received_data(bool out_of_order) {
     return;
   }
   if (delack_timer_ == sim::kInvalidEventId) {
-    delack_timer_ = sim().after(config_.delack_timeout, [this] {
+    delack_timer_ = sim().after(kDelackTimeout, [this] {
       delack_timer_ = sim::kInvalidEventId;
       send_ack_now();
     });
@@ -726,7 +723,7 @@ void TcpEndpoint::on_rto_timer() {
       return;
     }
     send_syn(/*with_ack=*/state_ == TcpState::kSynReceived);
-    rto_ = std::min(rto_ * 2, config_.max_rto);
+    rto_ = std::min(rto_ * 2, kMaxRto);
     arm_rto();
     return;
   }
@@ -735,11 +732,10 @@ void TcpEndpoint::on_rto_timer() {
   ++metrics_.timeouts;
   ++consecutive_timeouts_;
   // Once the path looks dead, cap the exponential backoff: a blackout should
-  // not push the probe interval to max_rto, or the flow sits idle long after
-  // the link is restored (see TcpConfig::dead_rto_cap).
-  const sim::Duration backoff_cap = consecutive_timeouts_ >= config_.dead_rto_threshold
-                                        ? std::min(config_.dead_rto_cap, config_.max_rto)
-                                        : config_.max_rto;
+  // not push the probe interval to kMaxRto, or the flow sits idle long after
+  // the link is restored (see kDeadRtoCap).
+  const sim::Duration backoff_cap =
+      consecutive_timeouts_ >= kDeadRtoThreshold ? kDeadRtoCap : kMaxRto;
 
   if (config_.frto_enabled) {
     // F-RTO: retransmit only the head and let the next ACKs decide whether
@@ -820,7 +816,7 @@ void TcpEndpoint::rtt_sample(sim::Duration sample) {
     srtt_ = srtt_ * 7 / 8 + sample / 8;
   }
   const sim::Duration candidate = srtt_ + std::max(rttvar_ * 4, kRtoGranularity);
-  rto_ = std::clamp(candidate, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(candidate, kMinRto, kMaxRto);
 }
 
 }  // namespace mpr::tcp

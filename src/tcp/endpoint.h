@@ -89,16 +89,15 @@ class TcpEndpoint : public FlowCc {
   /// RTOs fired since the last forward ACK — a health signal used by the
   /// MPTCP path manager to detect a dead path (backup-mode failover).
   [[nodiscard]] std::uint32_t consecutive_timeouts() const { return consecutive_timeouts_; }
-  [[nodiscard]] const TcpConfig& config() const { return config_; }
 
   // --- FlowCc (congestion controller's view) ---------------------------
   [[nodiscard]] double cwnd_bytes() const override { return cwnd_; }
-  void set_cwnd_bytes(double w) override { cwnd_ = std::max(w, 1.0 * config_.mss); }
+  void set_cwnd_bytes(double w) override { cwnd_ = std::max(w, 1.0 * kMss); }
   [[nodiscard]] std::uint64_t ssthresh_bytes() const override { return ssthresh_; }
   void set_ssthresh_bytes(std::uint64_t s) override {
-    ssthresh_ = std::max<std::uint64_t>(s, 2 * config_.mss);
+    ssthresh_ = std::max<std::uint64_t>(s, 2 * kMss);
   }
-  [[nodiscard]] std::uint32_t mss() const override { return config_.mss; }
+  [[nodiscard]] std::uint32_t mss() const override { return kMss; }
   [[nodiscard]] sim::Duration srtt() const override {
     return have_rtt_ ? srtt_ : sim::Duration::millis(100);
   }

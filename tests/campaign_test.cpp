@@ -235,6 +235,10 @@ TEST(CampaignSpec, RejectsMalformedInputWithLineNumber) {
   expect_error("users 10\nbogus-key 3\n", "line 2");
   expect_error("carrier tmobile 1.0\n", "carrier");
   expect_error("mode mp2 -1\n", "mode");
+  expect_error("mode mp3 1.0\n", "mode");
+  expect_error("cc olai 1.0\n", "cc");
+  expect_error("size 4x 1.0\n", "size");
+  expect_error("size -1k 1.0\n", "size");
   expect_error("hotspot-prob 1.5\n", "hotspot-prob");
   expect_error("loss-scale 2.0 1.0\n", "loss-scale");
   expect_error("users 10 trailing\n", "trailing");

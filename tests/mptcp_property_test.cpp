@@ -193,7 +193,7 @@ TEST_P(MptcpBufferSweep, TightBuffersNeverViolateCapacityOrOrder) {
   tb_cfg.cellular = netem::sprint_evdo();  // maximal reordering pressure
   experiment::Testbed tb{tb_cfg};
   core::MptcpConfig cfg;
-  cfg.receive_buffer = buf;
+  cfg.subflow.receive_buffer = buf;
   app::MptcpHttpServer server{tb.server(), experiment::kHttpPort, cfg, {},
                               [](std::uint64_t) { return 1ull << 20; }};
   app::MptcpHttpClient client{

@@ -451,7 +451,7 @@ TEST(MptcpConnection, SurvivesMidTransferPathDeath) {
 TEST(MptcpConnection, PenalizationFiresWhenReceiveLimited) {
   MptcpConfig cfg;
   cfg.penalization = true;
-  cfg.receive_buffer = 64 * 1024;  // tight: slow path blocks the window
+  cfg.subflow.receive_buffer = 64 * 1024;  // tight: slow path blocks the window
   MptcpRig rig{cfg, 6 << 20};
   rig.run_download(6 << 20, sim::Duration::seconds(120));
   ASSERT_TRUE(rig.done);
@@ -461,7 +461,7 @@ TEST(MptcpConnection, PenalizationFiresWhenReceiveLimited) {
 
 TEST(MptcpConnection, NoPenalizationByDefault) {
   MptcpConfig cfg;
-  cfg.receive_buffer = 64 * 1024;
+  cfg.subflow.receive_buffer = 64 * 1024;
   MptcpRig rig{cfg, 2 << 20};
   rig.run_download(2 << 20, sim::Duration::seconds(120));
   ASSERT_TRUE(rig.done);

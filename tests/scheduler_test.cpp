@@ -59,23 +59,23 @@ TEST(SchedulerNames, RoundTripAndAliases) {
 }
 
 TEST(SchedulerFactory, FlagsAndWeights) {
-  const auto minrtt = make_scheduler(SchedulerKind::kMinRtt);
-  EXPECT_FALSE(minrtt->redundant());
-  EXPECT_DOUBLE_EQ(minrtt->weight(0), 1.0);
+  const PacketScheduler minrtt{SchedulerKind::kMinRtt};
+  EXPECT_FALSE(minrtt.redundant());
+  EXPECT_DOUBLE_EQ(minrtt.weight(0), 1.0);
 
-  const auto redundant = make_scheduler(SchedulerKind::kRedundant);
-  EXPECT_TRUE(redundant->redundant());
+  const PacketScheduler redundant{SchedulerKind::kRedundant};
+  EXPECT_TRUE(redundant.redundant());
 
-  const auto weighted = make_scheduler(SchedulerKind::kWeighted, {2.0, 0.5});
-  EXPECT_FALSE(weighted->redundant());
-  EXPECT_DOUBLE_EQ(weighted->weight(0), 2.0);
-  EXPECT_DOUBLE_EQ(weighted->weight(1), 0.5);
-  EXPECT_DOUBLE_EQ(weighted->weight(2), 1.0);  // unconfigured id
+  const PacketScheduler weighted{SchedulerKind::kWeighted, {2.0, 0.5}};
+  EXPECT_FALSE(weighted.redundant());
+  EXPECT_DOUBLE_EQ(weighted.weight(0), 2.0);
+  EXPECT_DOUBLE_EQ(weighted.weight(1), 0.5);
+  EXPECT_DOUBLE_EQ(weighted.weight(2), 1.0);  // unconfigured id
 
   // Degenerate shares are sanitized to 1.0, never propagated as 0 / NaN.
-  const auto bad = make_scheduler(SchedulerKind::kWeighted, {-3.0, 0.0});
-  EXPECT_DOUBLE_EQ(bad->weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(bad->weight(1), 1.0);
+  const PacketScheduler bad{SchedulerKind::kWeighted, {-3.0, 0.0}};
+  EXPECT_DOUBLE_EQ(bad.weight(0), 1.0);
+  EXPECT_DOUBLE_EQ(bad.weight(1), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ TEST(PumpOrder, MinRttSortsBySmoothedRtt) {
   PausedTransfer t;
   std::vector<MptcpSubflow*> order = t.sender().subflows();
   ASSERT_GE(order.size(), 2u);
-  make_scheduler(SchedulerKind::kMinRtt)->order(order);
+  PacketScheduler{SchedulerKind::kMinRtt}.order(order);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LE(order[i - 1]->srtt().ns(), order[i]->srtt().ns()) << i;
   }
@@ -129,7 +129,7 @@ TEST(PumpOrder, RoundRobinSortsByScheduledBytesWithinSpaceClass) {
   PausedTransfer t;
   std::vector<MptcpSubflow*> order = t.sender().subflows();
   ASSERT_GE(order.size(), 2u);
-  make_scheduler(SchedulerKind::kRoundRobin)->order(order);
+  PacketScheduler{SchedulerKind::kRoundRobin}.order(order);
   bool seen_no_space = false;
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (!order[i]->has_window_space()) {
@@ -167,13 +167,13 @@ TEST(PumpOrder, RoundRobinSkipsCwndExhaustedSubflow) {
   ASSERT_FALSE(starved->has_window_space());
 
   std::vector<MptcpSubflow*> order = subflows;
-  make_scheduler(SchedulerKind::kRoundRobin)->order(order);
+  PacketScheduler{SchedulerKind::kRoundRobin}.order(order);
   EXPECT_EQ(order.back(), starved)
       << "cwnd-exhausted subflow must drop to the back of the pump order";
 
   // Weighted applies the same partition.
   std::vector<MptcpSubflow*> worder = subflows;
-  make_scheduler(SchedulerKind::kWeighted, {1.0, 1.0})->order(worder);
+  PacketScheduler{SchedulerKind::kWeighted, {1.0, 1.0}}.order(worder);
   EXPECT_EQ(worder.back(), starved);
 }
 
@@ -182,14 +182,14 @@ TEST(PumpOrder, WeightedDividesDeficitByShare) {
   std::vector<MptcpSubflow*> order = t.sender().subflows();
   ASSERT_GE(order.size(), 2u);
   const std::vector<double> weights{1.0, 8.0};
-  const auto sched = make_scheduler(SchedulerKind::kWeighted, weights);
-  sched->order(order);
+  const PacketScheduler sched{SchedulerKind::kWeighted, weights};
+  sched.order(order);
   for (std::size_t i = 1; i < order.size(); ++i) {
     if (order[i - 1]->has_window_space() != order[i]->has_window_space()) continue;
     const double a = static_cast<double>(order[i - 1]->scheduled_bytes()) /
-                     sched->weight(order[i - 1]->id());
+                     sched.weight(order[i - 1]->id());
     const double b =
-        static_cast<double>(order[i]->scheduled_bytes()) / sched->weight(order[i]->id());
+        static_cast<double>(order[i]->scheduled_bytes()) / sched.weight(order[i]->id());
     EXPECT_LE(a, b) << i;
   }
 }
@@ -198,7 +198,7 @@ TEST(PumpOrder, RedundantUsesRttOrder) {
   PausedTransfer t;
   std::vector<MptcpSubflow*> order = t.sender().subflows();
   ASSERT_GE(order.size(), 2u);
-  make_scheduler(SchedulerKind::kRedundant)->order(order);
+  PacketScheduler{SchedulerKind::kRedundant}.order(order);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LE(order[i - 1]->srtt().ns(), order[i]->srtt().ns()) << i;
   }

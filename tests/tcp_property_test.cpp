@@ -173,14 +173,15 @@ INSTANTIATE_TEST_SUITE_P(PaperSizes, TcpSizeSweep,
                          });
 
 // ---------------------------------------------------------------------------
-// Sweep: configuration space (ssthresh, delack, sack on/off).
+// Sweep: configuration space (ssthresh, delack). SACK is always on; the
+// "_sack" suffix of each case name records that.
 
-using ConfigParams = std::tuple<std::uint64_t /*ssthresh*/, bool /*delack*/, bool /*sack*/>;
+using ConfigParams = std::tuple<std::uint64_t /*ssthresh*/, bool /*delack*/>;
 
 class TcpConfigSweep : public ::testing::TestWithParam<ConfigParams> {};
 
 TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
-  const auto [ssthresh, delack, sack] = GetParam();
+  const auto [ssthresh, delack] = GetParam();
   sim::Simulation sim{55};
   net::Network network{sim};
   net::Host server{sim, network, {kServerAddr}};
@@ -200,7 +201,6 @@ TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
   TcpConfig cfg;
   cfg.initial_ssthresh = ssthresh;
   cfg.delayed_ack = delack;
-  cfg.sack_enabled = sack;
 
   bool done = false;
   TcpAcceptor acceptor{server, kPort, cfg, [&](TcpEndpoint& ep) {
@@ -220,18 +220,17 @@ TEST_P(TcpConfigSweep, LossyTransferCompletesUnderAnyConfig) {
   const sim::TimePoint deadline = sim.now() + sim::Duration::seconds(300);
   while (!done && sim.now() < deadline && sim.events().step()) {
   }
-  EXPECT_TRUE(done) << "ssthresh=" << ssthresh << " delack=" << delack << " sack=" << sack;
+  EXPECT_TRUE(done) << "ssthresh=" << ssthresh << " delack=" << delack;
   EXPECT_EQ(got, 1u << 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, TcpConfigSweep,
     ::testing::Combine(::testing::Values(std::uint64_t{64 * 1024}, kInfiniteSsthresh),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<ConfigParams>& info) {
       return std::string(std::get<0>(info.param) == kInfiniteSsthresh ? "inf" : "s64k") +
-             (std::get<1>(info.param) ? "_delack" : "_nodelack") +
-             (std::get<2>(info.param) ? "_sack" : "_nosack");
+             (std::get<1>(info.param) ? "_delack" : "_nodelack") + "_sack";
     });
 
 }  // namespace

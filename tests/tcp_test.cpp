@@ -195,7 +195,7 @@ class TcpWindowTest : public ::testing::Test {
 TEST_F(TcpWindowTest, InitialWindowTenSegments) {
   TcpConfig cfg;
   const double w = cwnd_at(sim::Duration::millis(101), cfg);  // handshake done, no acks yet
-  EXPECT_NEAR(w, 10.0 * cfg.mss, 1.0);
+  EXPECT_NEAR(w, 10.0 * kMss, 1.0);
 }
 
 TEST_F(TcpWindowTest, SlowStartDoublesPerRttWithoutDelack) {
@@ -206,7 +206,7 @@ TEST_F(TcpWindowTest, SlowStartDoublesPerRttWithoutDelack) {
   // first flight is acked at ~250 ms, the second at ~350 ms.
   const double w1 = cwnd_at(sim::Duration::millis(280), cfg);
   const double w2 = cwnd_at(sim::Duration::millis(380), cfg);
-  EXPECT_NEAR(w1 / (10.0 * cfg.mss), 2.0, 0.3);
+  EXPECT_NEAR(w1 / (10.0 * kMss), 2.0, 0.3);
   EXPECT_NEAR(w2 / w1, 2.0, 0.3);
 }
 
@@ -217,7 +217,7 @@ TEST_F(TcpWindowTest, SsthreshCapsSlowStart) {
   const double w = cwnd_at(sim::Duration::millis(480), cfg);
   // Window exceeds ssthresh only via linear CA growth: ~1-2 MSS per RTT.
   EXPECT_GE(w, 64.0 * 1024);
-  EXPECT_LT(w, 64.0 * 1024 + 6.0 * cfg.mss);
+  EXPECT_LT(w, 64.0 * 1024 + 6.0 * kMss);
 }
 
 TEST_F(TcpWindowTest, CongestionAvoidanceGrowsRoughlyOneMssPerRtt) {
@@ -226,7 +226,7 @@ TEST_F(TcpWindowTest, CongestionAvoidanceGrowsRoughlyOneMssPerRtt) {
   cfg.initial_ssthresh = 64 * 1024;
   const double w1 = cwnd_at(sim::Duration::millis(600), cfg);
   const double w2 = cwnd_at(sim::Duration::millis(1600), cfg);  // +10 RTTs
-  const double growth_per_rtt = (w2 - w1) / 10.0 / cfg.mss;
+  const double growth_per_rtt = (w2 - w1) / 10.0 / kMss;
   EXPECT_GT(growth_per_rtt, 0.6);
   EXPECT_LT(growth_per_rtt, 1.6);
 }
@@ -300,7 +300,7 @@ TEST(TcpRecovery, LossHalvesCwnd) {
   std::function<void()> watch = [&] {
     if (rig.server_ep != nullptr) {
       const double w = rig.server_ep->cwnd_bytes();
-      if (w < max_before * 0.6 && max_before > 20 * cfg.mss) saw_halving = true;
+      if (w < max_before * 0.6 && max_before > 20 * kMss) saw_halving = true;
       max_before = std::max(max_before, w);
     }
     rig.sim.after(sim::Duration::millis(5), watch);
@@ -402,7 +402,7 @@ TEST(TcpFlowControl, SenderRespectsReceiveWindow) {
   rig.sim.after(sim::Duration::millis(1), watch);
   rig.sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(20));
   EXPECT_EQ(rig.client_ep->metrics().bytes_received, 300000u);
-  EXPECT_LE(max_flight, cfg.receive_buffer + cfg.mss);
+  EXPECT_LE(max_flight, cfg.receive_buffer + kMss);
 }
 
 TEST(TcpClose, FinHandshakeReachesDone) {

@@ -4,9 +4,9 @@
 //   mpr_run --mode mp2 --carrier att --cc olia --size 4m --seed 7
 //   mpr_run --mode sp-wifi --size 512k --json
 //
-// Flags:
+// Single-run flags (shared with mpr_trace; parsed in cli_flags.h):
 //   --mode     sp-wifi | sp-cell | mp2 | mp4        (default mp2)
-//   --carrier  att | verizon | sprint               (default att)
+//   --carrier  att | verizon (vzw) | sprint         (default att)
 //   --cc       coupled | olia | reno | vegas       (default coupled)
 //   --sched    minrtt | rr | weighted[:w1,w2,...] | redundant   (default minrtt)
 //              weighted takes per-subflow shares, e.g. --sched weighted:2,1
@@ -22,6 +22,7 @@
 //   --teardown       tear down the connection on a checksum failure
 //   --max-sim-time   watchdog: abort after this much simulated time (seconds)
 //   --max-events     watchdog: abort after this many simulator events
+// mpr_run only:
 //   --reps     repetitions (default 1)
 //   --jobs     worker threads for the reps (default MPR_JOBS, else all cores)
 //   --json     machine-readable output
@@ -36,6 +37,11 @@
 //   --resume     continue from --checkpoint instead of starting over
 //   Exit codes: 0 complete, 1 error, 2 failure budget exhausted,
 //               128+signal when interrupted (checkpoint written first).
+//
+// A flag value outside the accepted set (an unknown --cc name, a --size
+// with a stray suffix, a --reps that is not a positive integer, ...) is
+// reported on stderr with the values the flag accepts, and mpr_run exits 1
+// without running anything.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -52,39 +58,6 @@ using namespace mpr;
 using namespace mpr::experiment;
 
 namespace {
-
-/// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
-/// Returns false on an unknown name or malformed weight list.
-bool parse_sched(const std::string& spec, RunConfig& rc) {
-  std::string name = spec;
-  std::string weight_list;
-  if (const std::size_t colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    weight_list = spec.substr(colon + 1);
-  }
-  const auto kind = core::scheduler_from_string(name);
-  if (!kind) return false;
-  rc.scheduler = *kind;
-  rc.scheduler_weights.clear();
-  if (weight_list.empty()) return true;
-  if (*kind != core::SchedulerKind::kWeighted) return false;
-  std::size_t pos = 0;
-  while (pos <= weight_list.size()) {
-    const std::size_t comma = weight_list.find(',', pos);
-    const std::string tok =
-        weight_list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    try {
-      const double w = std::stod(tok);
-      if (w <= 0) return false;
-      rc.scheduler_weights.push_back(w);
-    } catch (...) {
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !rc.scheduler_weights.empty();
-}
 
 void print_json(const RunResult& r) {
   std::printf(
@@ -155,7 +128,7 @@ void print_sketch_json(const char* name, const analysis::QSketch& s, bool traili
               trailing_comma ? "," : "");
 }
 
-int run_campaign_cli(const tools::Flags& flags) {
+int run_campaign_cli(const tools::Flags& flags, int jobs) {
   std::string error;
   const CampaignSpec spec = CampaignSpec::parse_file(flags.get("campaign"), &error);
   if (!error.empty()) {
@@ -166,7 +139,7 @@ int run_campaign_cli(const tools::Flags& flags) {
   CampaignOptions opt;
   opt.checkpoint_path = flags.get("checkpoint", "");
   opt.resume = flags.get_bool("resume");
-  opt.jobs = static_cast<int>(flags.get_int("jobs", 0));
+  opt.jobs = jobs;
   opt.handle_signals = true;
 
   const std::optional<CampaignResult> res = run_campaign(spec, opt, &error);
@@ -238,70 +211,32 @@ int run_campaign_cli(const tools::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Flags flags{argc, argv};
+  tools::Flags flags{argc, argv};
   if (flags.has("help")) {
     std::printf("see the header of tools/mpr_run.cpp for flags\n");
     return 0;
   }
-  if (flags.has("campaign")) return run_campaign_cli(flags);
+  const int jobs = flags.parse("jobs", 0, tools::int_from_string<int>,
+                               "an integer (<= 0: MPR_JOBS, else all cores)");
+  if (flags.has("campaign")) return flags.ok() ? run_campaign_cli(flags, jobs) : 1;
 
   TestbedConfig tb;
-  tb.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  tb.wifi = flags.get_bool("hotspot") ? netem::wifi_hotspot() : netem::wifi_home();
-  tb.cellular = carrier_profile(tools::parse_carrier(flags.get("carrier", "att")));
-  tb.cellular.codel_downlink = flags.get_bool("codel");
-
   RunConfig rc;
-  rc.mode = tools::parse_mode(flags.get("mode", "mp2"));
-  rc.cc = tools::parse_cc(flags.get("cc", "coupled"));
-  if (const std::string sched = flags.get("sched", "minrtt"); !parse_sched(sched, rc)) {
-    std::fprintf(stderr,
-                 "mpr_run: --sched %s: expected minrtt | rr | roundrobin | "
-                 "weighted[:w1,w2,...] | redundant\n",
-                 sched.c_str());
-    return 1;
-  }
-  rc.file_bytes = flags.get_size("size", 4 << 20);
-  rc.simultaneous_syns = flags.get_bool("simsyn");
-  rc.cellular_backup = flags.get_bool("backup");
-
-  rc.dss_checksum = flags.get_bool("checksum");
-  rc.checksum_teardown = flags.get_bool("teardown");
-  rc.tcp_fallback = !flags.get_bool("no-fallback");
-  if (const long long cap = flags.get_int("max-events", 0); cap > 0) {
-    rc.max_events = static_cast<std::uint64_t>(cap);
-  }
-  if (const std::string t = flags.get("max-sim-time", ""); !t.empty()) {
-    rc.max_sim_time = sim::Duration::from_seconds(std::stod(t));
-  }
-
-  if (const std::string scenario = flags.get("scenario", ""); !scenario.empty()) {
-    std::string error;
-    rc.faults = netem::FaultSchedule::parse_file(scenario, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "mpr_run: --scenario %s: %s\n", scenario.c_str(), error.c_str());
-      return 1;
-    }
-    // The testbed binds exactly two links; a typo'd link name would make the
-    // schedule a silent no-op, so fail loudly instead.
-    const std::vector<std::string> unbound = rc.faults.unknown_links({"wifi", "cell"});
-    if (!unbound.empty()) {
-      for (const std::string& l : unbound) {
-        std::fprintf(stderr, "mpr_run: --scenario %s: unknown link '%s' (bound: wifi, cell)\n",
-                     scenario.c_str(), l.c_str());
-      }
-      return 1;
-    }
-  }
-
-  const int reps = static_cast<int>(flags.get_int("reps", 1));
+  rc.file_bytes = 4 << 20;
+  tools::parse_run_flags(flags, tb, rc);
+  const int reps = flags.parse("reps", 1,
+                               [](const std::string& s) {
+                                 const auto n = tools::int_from_string<int>(s);
+                                 return n && *n > 0 ? n : std::nullopt;
+                               },
+                               "a positive integer");
+  if (!flags.ok()) return 1;
   const bool json = flags.get_bool("json");
 
   // Reps are independently-seeded simulations: run them across the worker
   // pool, then print in rep order so output is identical at any job count.
   std::vector<RunResult> results(static_cast<std::size_t>(reps));
-  const unsigned jobs = sim::effective_jobs(static_cast<int>(flags.get_int("jobs", 0)));
-  sim::parallel_for_index(results.size(), jobs, [&](std::size_t i) {
+  sim::parallel_for_index(results.size(), sim::effective_jobs(jobs), [&](std::size_t i) {
     TestbedConfig tbi = tb;
     tbi.seed = tb.seed + static_cast<std::uint64_t>(i);
     results[i] = run_download(tbi, rc);

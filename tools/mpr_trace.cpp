@@ -5,17 +5,21 @@
 //   mpr_trace --size 1m --pcap out.pcap              # deliveries as pcap
 //   mpr_trace --pcap out.pcap --capture send         # sender-side capture
 //
-// Shares mpr_run's topology flags (--mode/--carrier/--cc/--size/--seed) and
-// their parsers (cli_flags.h). The capture needs the testbed's trace, so the
-// download loop is its own and covers --mode sp-wifi and mp2 only;
-// --mode sp-cell and mp4 exit 1.
+// Accepts every single-run flag of mpr_run (--mode, --carrier, --cc,
+// --sched, --size, --seed, --scenario, ...; see tools/mpr_run.cpp), parsed
+// by the same code, and runs the same measurement: run_download on a
+// capturing testbed. So the trace holds the ping warm-up too, and
+// --mode sp-wifi / sp-cell trace plain TCP. --size defaults to 512k here.
+//
+//   --pcap     write the capture to this .pcap file instead of text
+//   --capture  deliver | send: which side's records go to the .pcap
+//              (default deliver)
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "analysis/pcap.h"
-#include "app/http.h"
 #include "cli_flags.h"
-#include "experiment/carriers.h"
 #include "experiment/run.h"
 #include "experiment/testbed.h"
 
@@ -23,46 +27,29 @@ using namespace mpr;
 using namespace mpr::experiment;
 
 int main(int argc, char** argv) {
-  const tools::Flags flags{argc, argv};
-
-  const std::string mode_flag = flags.get("mode", "mp2");
-  const PathMode mode = tools::parse_mode(mode_flag);
-  if (mode != PathMode::kSingleWifi && mode != PathMode::kMptcp2) {
-    std::fprintf(stderr, "mpr_trace: --mode %s is not supported; use sp-wifi or mp2\n",
-                 mode_flag.c_str());
-    return 1;
-  }
-
+  tools::Flags flags{argc, argv};
   TestbedConfig tb_cfg;
-  tb_cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  RunConfig rc;
+  tools::parse_run_flags(flags, tb_cfg, rc);
+  const net::TraceEvent::Kind capture = flags.parse(
+      "capture", net::TraceEvent::Kind::kDeliver,
+      [](const std::string& s) -> std::optional<net::TraceEvent::Kind> {
+        if (s == "deliver") return net::TraceEvent::Kind::kDeliver;
+        if (s == "send") return net::TraceEvent::Kind::kSend;
+        return std::nullopt;
+      },
+      "deliver | send");
+  if (!flags.ok()) return 1;
+
   tb_cfg.capture_trace = true;
-  tb_cfg.cellular = carrier_profile(tools::parse_carrier(flags.get("carrier", "att")));
   Testbed tb{tb_cfg};
-
-  core::MptcpConfig cfg;
-  cfg.cc = tools::parse_cc(flags.get("cc", "coupled"));
-  const std::uint64_t size = flags.get_size("size", 512 << 10);
-
-  app::MptcpHttpServer server{tb.server(), kHttpPort, cfg, {},
-                              [size](std::uint64_t) { return size; }};
-  std::vector<net::IpAddr> addrs{kClientWifiAddr};
-  if (mode == PathMode::kMptcp2) addrs.push_back(kClientCellAddr);
-  app::MptcpHttpClient client{tb.client(), cfg, addrs,
-                              net::SocketAddr{kServerAddr1, kHttpPort}};
-
-  bool done = false;
-  client.get(size, [&](const app::FetchResult&) { done = true; });
-  const sim::TimePoint deadline = tb.sim().now() + sim::Duration::seconds(600);
-  while (!done && tb.sim().now() < deadline && tb.sim().events().step()) {
-  }
-  std::fprintf(stderr, "download %s; %zu trace records\n", done ? "completed" : "TIMED OUT",
+  const RunResult result = run_download(tb, rc);
+  std::fprintf(stderr, "download %s; %zu trace records\n", to_string(result.outcome).c_str(),
                tb.trace()->size());
 
   if (flags.has("pcap")) {
     analysis::PcapWriteOptions opts;
-    if (flags.get("capture", "deliver") == "send") {
-      opts.kind = net::TraceEvent::Kind::kSend;
-    }
+    opts.kind = capture;
     const std::string path = flags.get("pcap");
     if (!analysis::write_pcap(*tb.trace(), path, opts)) {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
