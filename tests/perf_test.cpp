@@ -117,6 +117,15 @@ TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
   // node-based container / per-call distribution object" regressions, not
   // on machine jitter. Override with MPR_PERF_FLOOR_EVENTS_PER_SEC (0
   // disables).
+  //
+  // The floor is a per-download time budget expressed in events/s. It was
+  // set at 2.2e6 events/s when this download executed 189,146 events, a
+  // budget of 189,146 / 2.2e6 = 86.0 ms. Event-free background
+  // cross-traffic removed the phantom packet events and left 156,444 events
+  // with the same simulated outcome, so the same 86.0 ms budget reads
+  // 2.2e6 * 156,444 / 189,146 = 1.8196e6, rounded to 1.82e6 events/s. Any
+  // later change to this download's exact event count converts the floor
+  // the same way, by the ratio of the new count to the old.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
     (defined(MPR_AUDIT) && MPR_AUDIT)
   GTEST_SKIP() << "event-rate floor is only meaningful in uninstrumented builds";
@@ -128,7 +137,7 @@ TEST(SchedulerThroughput, BacklogDownloadMeetsEventRateFloor) {
 #ifndef NDEBUG
   GTEST_SKIP() << "event-rate floor is only meaningful in optimized builds";
 #endif
-  double floor_eps = 2.2e6;
+  double floor_eps = 1.82e6;
   if (const char* env = std::getenv("MPR_PERF_FLOOR_EVENTS_PER_SEC")) {
     floor_eps = std::atof(env);
     if (floor_eps <= 0) GTEST_SKIP() << "floor disabled via MPR_PERF_FLOOR_EVENTS_PER_SEC";
