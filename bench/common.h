@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "experiment/table.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
+#include "sim/parse.h"
 #include "sim/thread_pool.h"
 
 namespace mpr::bench {
@@ -43,8 +45,8 @@ inline constexpr std::uint64_t kMB = 1024 * 1024;
 /// (the paper performs 20 per period and location).
 inline int reps(int default_reps) {
   if (const char* env = std::getenv("MPR_REPS"); env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+    const std::optional<int> v = sim::int_from_string<int>(env);
+    if (v && *v > 0) return *v;
   }
   return default_reps;
 }

@@ -39,14 +39,6 @@ void PacketScheduler::order(std::vector<MptcpSubflow*>& subflows) const {
                    });
 }
 
-std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
-  if (s == "minrtt") return SchedulerKind::kMinRtt;
-  if (s == "rr" || s == "roundrobin") return SchedulerKind::kRoundRobin;
-  if (s == "weighted") return SchedulerKind::kWeighted;
-  if (s == "redundant") return SchedulerKind::kRedundant;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Construction.
 
@@ -578,7 +570,7 @@ void MptcpConnection::schedule_join_retry(net::IpAddr local, net::IpAddr remote)
   const std::uint64_t key = join_key(local, remote);
   JoinRetryState& st = join_retries_[key];
   if (st.timer != sim::kInvalidEventId) return;
-  sim::Duration delay = config_.join_retry_initial;
+  sim::Duration delay = kJoinRetryInitial;
   for (int i = 0; i < st.attempts && delay < kJoinRetryCap; ++i) delay = delay * 2;
   delay = std::min(delay, kJoinRetryCap);
   ++st.attempts;
@@ -644,7 +636,7 @@ void MptcpConnection::note_paths_dead() {
   const sim::TimePoint now = host_.sim().now();
   if (!dead_since_) dead_since_ = now;
   if (dead_timer_ == sim::kInvalidEventId) {
-    dead_timer_ = host_.sim().at(*dead_since_ + config_.all_paths_dead_timeout,
+    dead_timer_ = host_.sim().at(*dead_since_ + kAllPathsDeadTimeout,
                                  [this] { on_dead_deadline(); });
   }
 }
@@ -658,12 +650,12 @@ void MptcpConnection::on_dead_deadline() {
   }
   if (!dead_since_) return;  // recovered since (observed via a data ack)
   const sim::TimePoint now = host_.sim().now();
-  if (now - *dead_since_ >= config_.all_paths_dead_timeout) {
+  if (now - *dead_since_ >= kAllPathsDeadTimeout) {
     fail_connection();
     return;
   }
   // A newer dead episode started after the timer was armed; re-check then.
-  dead_timer_ = host_.sim().at(*dead_since_ + config_.all_paths_dead_timeout,
+  dead_timer_ = host_.sim().at(*dead_since_ + kAllPathsDeadTimeout,
                                [this] { on_dead_deadline(); });
 }
 

@@ -39,8 +39,13 @@ namespace mpr::core {
 /// MP_JOIN SYNs that exhausted their TCP-level retries are retried (the
 /// kernel path manager gives up forever; under scripted outages that
 /// permanently loses the second path). Backoff doubles from
-/// MptcpConfig::join_retry_initial up to this cap.
+/// kJoinRetryInitial up to kJoinRetryCap.
+inline constexpr sim::Duration kJoinRetryInitial = sim::Duration::seconds(1);
 inline constexpr sim::Duration kJoinRetryCap = sim::Duration::seconds(30);
+/// Fail the connection (error to the app, not a hang) once *every* subflow
+/// has been dead — no handshake in progress and past the consecutive-RTO
+/// threshold — for this long.
+inline constexpr sim::Duration kAllPathsDeadTimeout = sim::Duration::seconds(90);
 
 struct MptcpConfig {
   /// Subflow TCP settings. `subflow.receive_buffer` also sizes the
@@ -61,12 +66,6 @@ struct MptcpConfig {
   bool simultaneous_syns{false};
   /// Linux receive-buffer penalization; the paper removes it (§3.1).
   bool penalization{false};
-  /// First backoff of an MP_JOIN retry (see kJoinRetryCap).
-  sim::Duration join_retry_initial{sim::Duration::seconds(1)};
-  /// Fail the connection (error to the app, not a hang) once *every*
-  /// subflow has been dead — no handshake in progress and past the
-  /// consecutive-RTO threshold — for this long.
-  sim::Duration all_paths_dead_timeout{sim::Duration::seconds(90)};
   /// Client interfaces to join in backup mode (RFC 6824 B bit): their
   /// subflows carry data only while no regular subflow is healthy —
   /// the "backup mode" of Paasch et al. that trades throughput for the
@@ -137,7 +136,7 @@ class MptcpConnection {
   std::function<void()> on_established;
   std::function<void()> on_data_fin;
   /// The connection failed: every subflow stayed dead past
-  /// `all_paths_dead_timeout` (or the initial handshake gave up). Subflows
+  /// kAllPathsDeadTimeout (or the initial handshake gave up). Subflows
   /// are aborted before this fires; no further progress will happen.
   std::function<void()> on_error;
 

@@ -18,23 +18,6 @@ double rtt_seconds(const tcp::FlowCc& f) {
 
 }  // namespace
 
-std::string to_string(CcKind k) {
-  switch (k) {
-    case CcKind::kReno: return "reno";
-    case CcKind::kCoupled: return "coupled";
-    case CcKind::kOlia: return "olia";
-    case CcKind::kVegas: return "vegas";
-  }
-  return "?";
-}
-
-std::optional<CcKind> cc_from_string(const std::string& s) {
-  for (const CcKind k : {CcKind::kReno, CcKind::kCoupled, CcKind::kOlia, CcKind::kVegas}) {
-    if (s == to_string(k)) return k;
-  }
-  return std::nullopt;
-}
-
 std::unique_ptr<tcp::CongestionControl> make_congestion_control(CcKind k) {
   switch (k) {
     case CcKind::kReno: return std::make_unique<tcp::NewRenoCc>();

@@ -26,17 +26,25 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
+#include "sim/parse.h"
 #include "tcp/congestion.h"
 
 namespace mpr::core {
 
 enum class CcKind { kReno, kCoupled, kOlia, kVegas };
 
-[[nodiscard]] std::string to_string(CcKind k);
-/// Inverse of to_string(CcKind); nullopt for any other name.
-[[nodiscard]] std::optional<CcKind> cc_from_string(const std::string& s);
+/// The congestion-control names the CLIs and the campaign spec accept.
+inline constexpr sim::Name<CcKind> kCcNames[] = {
+    {"coupled", CcKind::kCoupled}, {"olia", CcKind::kOlia}, {"reno", CcKind::kReno},
+    {"vegas", CcKind::kVegas}};
+
+[[nodiscard]] inline std::string to_string(CcKind k) { return sim::name_of(kCcNames, k); }
+[[nodiscard]] inline std::optional<CcKind> cc_from_string(std::string_view s) {
+  return sim::from_name(kCcNames, s);
+}
 [[nodiscard]] std::unique_ptr<tcp::CongestionControl> make_congestion_control(CcKind k);
 
 /// LIA — RFC 6356 "coupled" (the MPTCP default in the paper).

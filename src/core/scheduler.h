@@ -29,7 +29,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "sim/parse.h"
 
 namespace mpr::core {
 
@@ -37,18 +40,19 @@ class MptcpSubflow;
 
 enum class SchedulerKind { kMinRtt, kRoundRobin, kWeighted, kRedundant };
 
-[[nodiscard]] inline std::string to_string(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kMinRtt: return "minrtt";
-    case SchedulerKind::kRoundRobin: return "roundrobin";
-    case SchedulerKind::kWeighted: return "weighted";
-    case SchedulerKind::kRedundant: return "redundant";
-  }
-  return "?";
-}
+/// The scheduler names the CLIs and fault scenarios accept ("roundrobin"
+/// is kRoundRobin's canonical name, "rr" its alias).
+inline constexpr sim::Name<SchedulerKind> kSchedulerNames[] = {
+    {"minrtt", SchedulerKind::kMinRtt}, {"roundrobin", SchedulerKind::kRoundRobin},
+    {"rr", SchedulerKind::kRoundRobin}, {"weighted", SchedulerKind::kWeighted},
+    {"redundant", SchedulerKind::kRedundant}};
 
-/// Scenario/CLI name -> kind ("rr" and "roundrobin" both accepted).
-[[nodiscard]] std::optional<SchedulerKind> scheduler_from_string(const std::string& s);
+[[nodiscard]] inline std::string to_string(SchedulerKind k) {
+  return sim::name_of(kSchedulerNames, k);
+}
+[[nodiscard]] inline std::optional<SchedulerKind> scheduler_from_string(std::string_view s) {
+  return sim::from_name(kSchedulerNames, s);
+}
 
 /// The dispatch strategy of one connection: its kind plus, for kWeighted,
 /// the per-subflow shares. A plain value; `order()` covers every kind.

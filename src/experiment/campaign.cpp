@@ -6,11 +6,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "check/audit.h"
 #include "experiment/series.h"
 #include "experiment/table.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 #include "sim/thread_pool.h"
 
@@ -49,8 +53,11 @@ bool get_str(const char** cursor, const char* end, std::string* s) {
   return true;
 }
 
-// --- FNV-1a (spec hash + checkpoint checksum) ---
+// --- FNV-1a-style hash (spec hash + checkpoint checksum) ---
 
+// Not FNV-1a's offset basis (14695981039346656037): this value is one digit
+// short of it. It stays as it is, because the checkpoint format (stored spec
+// hash and checksum) and the golden campaign digests pin it.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -127,105 +134,106 @@ std::uint64_t CampaignSpec::hash() const {
   return h;
 }
 
+namespace {
+
+/// A spec key that takes one number: an integer >= `lo` into `count`, or
+/// else a real in [lo, hi] into `real`.
+struct ScalarKey {
+  std::string_view key;
+  std::uint64_t CampaignSpec::*count;
+  double CampaignSpec::*real;
+  double lo;
+  double hi;
+  const char* expected;
+};
+
+constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
+
+constexpr ScalarKey kScalarKeys[] = {
+    {"users", &CampaignSpec::users, nullptr, 1, 0, "a positive integer"},
+    {"seed", &CampaignSpec::seed, nullptr, 0, 0, "a non-negative integer"},
+    {"checkpoint-every", &CampaignSpec::checkpoint_every, nullptr, 1, 0, "a positive integer"},
+    {"failure-budget", &CampaignSpec::failure_budget, nullptr, 0, 0, "a non-negative integer"},
+    {"max-events", &CampaignSpec::max_events, nullptr, 0, 0, "a non-negative integer"},
+    {"hotspot-prob", nullptr, &CampaignSpec::hotspot_prob, 0, 1, "a probability in [0, 1]"},
+    {"mbox-strip-prob", nullptr, &CampaignSpec::mbox_strip_prob, 0, 1, "a probability in [0, 1]"},
+    // A normal draw stays within about +-9, so e^(2 * 9) keeps every scaled
+    // one-way delay far inside Duration's range.
+    {"rtt-sigma", nullptr, &CampaignSpec::rtt_sigma, 0, 2, "a sigma in [0, 2]"},
+    {"timeout", nullptr, &CampaignSpec::timeout_s, kMinPositive, sim::kMaxInputSeconds,
+     "seconds in (0, 1e6]"},
+    {"max-sim-time", nullptr, &CampaignSpec::max_sim_time_s, 0, sim::kMaxInputSeconds,
+     "seconds in [0, 1e6] (0 disables)"},
+};
+
+/// Applies one tokenized spec line to `spec`. Returns what is wrong with
+/// the line, or "" when it is well formed.
+std::string apply_spec_line(CampaignSpec& spec, const std::vector<std::string_view>& tok) {
+  const std::string_view key = tok[0];
+  const bool is_mix = key == "carrier" || key == "mode" || key == "cc" || key == "size";
+  const std::size_t arity = is_mix || key == "loss-scale" ? 2 : 1;
+  // A missing value reads as "", which every value parser rejects.
+  const std::string_view a = tok.size() > 1 ? tok[1] : std::string_view{};
+  const std::string_view b = tok.size() > 2 ? tok[2] : std::string_view{};
+  std::string expected;  // what a bad line should have held
+
+  // Appends `<value> <weight>` to a population mix.
+  const auto add_mix = [&](auto& mix, auto value) {
+    const std::optional<double> w = sim::double_from_string(b);
+    if (value && w && *w > 0.0) mix.emplace_back(*value, *w);
+    return value && w && *w > 0.0;
+  };
+  const auto named_mix = [&](auto& mix, const auto& names) {
+    if (!add_mix(mix, sim::from_name(names, a))) {
+      expected = "`<name> <weight>` with name " + sim::name_list(names) + " and weight > 0";
+    }
+  };
+  const auto* k = std::find_if(std::begin(kScalarKeys), std::end(kScalarKeys),
+                               [&](const ScalarKey& c) { return c.key == key; });
+  if (k != std::end(kScalarKeys) && k->count != nullptr) {
+    const std::optional<std::uint64_t> v = sim::int_from_string<std::uint64_t>(a);
+    if (v && static_cast<double>(*v) >= k->lo) spec.*k->count = *v;
+    if (!v || static_cast<double>(*v) < k->lo) expected = k->expected;
+  } else if (k != std::end(kScalarKeys)) {
+    const std::optional<double> v = sim::double_from_string(a);
+    if (v && *v >= k->lo && *v <= k->hi) spec.*k->real = *v;
+    if (!v || *v < k->lo || *v > k->hi) expected = k->expected;
+  } else if (key == "loss-scale") {
+    const std::optional<double> lo = sim::double_from_string(a);
+    const std::optional<double> hi = sim::double_from_string(b);
+    if (lo && hi && *lo >= 0.0 && *hi >= *lo) {
+      spec.loss_scale_lo = *lo;
+      spec.loss_scale_hi = *hi;
+    } else {
+      expected = "`<lo> <hi>` with 0 <= lo <= hi";
+    }
+  } else if (key == "carrier") {
+    named_mix(spec.carriers, kCarrierNames);
+  } else if (key == "mode") {
+    named_mix(spec.modes, kModeNames);
+  } else if (key == "cc") {
+    named_mix(spec.ccs, core::kCcNames);
+  } else if (key == "size") {
+    const std::optional<std::uint64_t> bytes = size_from_string(a);
+    if (!add_mix(spec.sizes, bytes == std::uint64_t{0} ? std::nullopt : bytes)) {
+      expected = "`<bytes> <weight>` with bytes > 0 (k | m | g suffix) and weight > 0";
+    }
+  } else {
+    return "unknown key '" + std::string{key} + "'";
+  }
+  if (!expected.empty()) return std::string{key} + ": expected " + expected;
+  if (tok.size() > arity + 1) return "trailing token '" + std::string{tok[arity + 1]} + "'";
+  return {};
+}
+
+}  // namespace
+
 CampaignSpec CampaignSpec::parse(std::istream& in, std::string* error) {
   CampaignSpec spec;
-  const auto fail = [&](int line, const std::string& what) {
-    if (error != nullptr) *error = "line " + std::to_string(line) + ": " + what;
-    return CampaignSpec{};
-  };
-
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const std::size_t hash_pos = line.find('#'); hash_pos != std::string::npos) {
-      line.erase(hash_pos);
-    }
-    std::istringstream ls{line};
-    std::string key;
-    if (!(ls >> key)) continue;  // blank / comment-only
-
-    const auto need_u64 = [&](std::uint64_t* out) { return static_cast<bool>(ls >> *out); };
-    const auto need_double = [&](double* out) { return static_cast<bool>(ls >> *out); };
-
-    if (key == "users") {
-      if (!need_u64(&spec.users) || spec.users == 0) return fail(line_no, "users: positive count expected");
-    } else if (key == "seed") {
-      if (!need_u64(&spec.seed)) return fail(line_no, "seed: integer expected");
-    } else if (key == "checkpoint-every") {
-      if (!need_u64(&spec.checkpoint_every) || spec.checkpoint_every == 0) {
-        return fail(line_no, "checkpoint-every: positive count expected");
-      }
-    } else if (key == "failure-budget") {
-      if (!need_u64(&spec.failure_budget)) return fail(line_no, "failure-budget: integer expected");
-    } else if (key == "carrier") {
-      std::string name;
-      double w = 0.0;
-      const std::optional<Carrier> c = ls >> name ? carrier_from_string(name) : std::nullopt;
-      if (!c || !need_double(&w) || w <= 0.0) {
-        return fail(line_no, "carrier: `att|verizon|sprint <weight>` expected");
-      }
-      spec.carriers.emplace_back(*c, w);
-    } else if (key == "mode") {
-      std::string name;
-      double w = 0.0;
-      const std::optional<PathMode> m = ls >> name ? mode_from_string(name) : std::nullopt;
-      if (!m || !need_double(&w) || w <= 0.0) {
-        return fail(line_no, "mode: `sp-wifi|sp-cell|mp2|mp4 <weight>` expected");
-      }
-      spec.modes.emplace_back(*m, w);
-    } else if (key == "cc") {
-      std::string name;
-      double w = 0.0;
-      const std::optional<core::CcKind> c = ls >> name ? core::cc_from_string(name) : std::nullopt;
-      if (!c || !need_double(&w) || w <= 0.0) {
-        return fail(line_no, "cc: `reno|coupled|olia|vegas <weight>` expected");
-      }
-      spec.ccs.emplace_back(*c, w);
-    } else if (key == "size") {
-      std::string tok;
-      double w = 0.0;
-      const std::optional<std::uint64_t> bytes = ls >> tok ? size_from_string(tok) : std::nullopt;
-      if (!bytes || *bytes == 0 || !need_double(&w) || w <= 0.0) {
-        return fail(line_no, "size: `<bytes[k|m|g]> <weight>` expected");
-      }
-      spec.sizes.emplace_back(*bytes, w);
-    } else if (key == "hotspot-prob") {
-      if (!need_double(&spec.hotspot_prob) || spec.hotspot_prob < 0.0 || spec.hotspot_prob > 1.0) {
-        return fail(line_no, "hotspot-prob: probability in [0,1] expected");
-      }
-    } else if (key == "rtt-sigma") {
-      if (!need_double(&spec.rtt_sigma) || spec.rtt_sigma < 0.0) {
-        return fail(line_no, "rtt-sigma: non-negative sigma expected");
-      }
-    } else if (key == "loss-scale") {
-      if (!need_double(&spec.loss_scale_lo) || !need_double(&spec.loss_scale_hi) ||
-          spec.loss_scale_lo < 0.0 || spec.loss_scale_hi < spec.loss_scale_lo) {
-        return fail(line_no, "loss-scale: `<lo> <hi>` with 0 <= lo <= hi expected");
-      }
-    } else if (key == "mbox-strip-prob") {
-      if (!need_double(&spec.mbox_strip_prob) || spec.mbox_strip_prob < 0.0 ||
-          spec.mbox_strip_prob > 1.0) {
-        return fail(line_no, "mbox-strip-prob: probability in [0,1] expected");
-      }
-    } else if (key == "timeout") {
-      if (!need_double(&spec.timeout_s) || spec.timeout_s <= 0.0) {
-        return fail(line_no, "timeout: positive seconds expected");
-      }
-    } else if (key == "max-sim-time") {
-      if (!need_double(&spec.max_sim_time_s) || spec.max_sim_time_s < 0.0) {
-        return fail(line_no, "max-sim-time: non-negative seconds expected (0 disables)");
-      }
-    } else if (key == "max-events") {
-      if (!need_u64(&spec.max_events)) return fail(line_no, "max-events: integer expected");
-    } else {
-      return fail(line_no, "unknown key '" + key + "'");
-    }
-    std::string rest;
-    if (ls >> rest) return fail(line_no, "trailing token '" + rest + "'");
-  }
-  if (error != nullptr) error->clear();
-  return spec;
+  const std::string what = sim::parse_lines(
+      in, [&spec](const std::vector<std::string_view>& tok) { return apply_spec_line(spec, tok); });
+  if (error != nullptr) *error = what;
+  return what.empty() ? spec : CampaignSpec{};
 }
 
 CampaignSpec CampaignSpec::parse_file(const std::string& path, std::string* error) {

@@ -16,7 +16,7 @@
 // checkpoint/resume split.
 //
 // Crash safety: with a checkpoint path configured, a versioned binary
-// checkpoint (atomic tmp + rename, FNV-1a checksum trailer) is written
+// checkpoint (atomic tmp + rename, FNV-1a-style checksum trailer) is written
 // every `checkpoint_every` completed users, and on SIGINT/SIGTERM or a
 // stop-hook request the campaign finishes its current block, checkpoints,
 // and returns `interrupted`. Resuming replays nothing: it continues from
@@ -85,7 +85,8 @@ struct CampaignSpec {
   double max_sim_time_s{900.0};
   std::uint64_t max_events{0};
 
-  /// FNV-1a over the population-defining fields (see struct comment).
+  /// FNV-1a-style hash over the population-defining fields (see struct
+  /// comment); its offset basis is not FNV-1a's (see kFnvOffset).
   [[nodiscard]] std::uint64_t hash() const;
 
   /// Parses the campaign spec text format (one `key value...` per line, `#`

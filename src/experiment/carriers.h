@@ -3,9 +3,11 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netem/access.h"
+#include "sim/parse.h"
 
 namespace mpr::experiment {
 
@@ -20,12 +22,13 @@ enum class Carrier { kAtt, kVerizon, kSprint };
   return "?";
 }
 
-/// Scenario/CLI name -> carrier: att | verizon (vzw) | sprint.
-[[nodiscard]] inline std::optional<Carrier> carrier_from_string(const std::string& s) {
-  if (s == "att") return Carrier::kAtt;
-  if (s == "verizon" || s == "vzw") return Carrier::kVerizon;
-  if (s == "sprint") return Carrier::kSprint;
-  return std::nullopt;
+/// The carrier names the CLIs and the campaign spec accept.
+inline constexpr sim::Name<Carrier> kCarrierNames[] = {
+    {"att", Carrier::kAtt}, {"verizon", Carrier::kVerizon}, {"vzw", Carrier::kVerizon},
+    {"sprint", Carrier::kSprint}};
+
+[[nodiscard]] inline std::optional<Carrier> carrier_from_string(std::string_view s) {
+  return sim::from_name(kCarrierNames, s);
 }
 
 [[nodiscard]] inline netem::AccessProfile carrier_profile(Carrier c) {

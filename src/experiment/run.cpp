@@ -18,14 +18,6 @@ std::string to_string(PathMode m) {
   return "?";
 }
 
-std::optional<PathMode> mode_from_string(const std::string& s) {
-  if (s == "sp-wifi") return PathMode::kSingleWifi;
-  if (s == "sp-cell") return PathMode::kSingleCellular;
-  if (s == "mp2") return PathMode::kMptcp2;
-  if (s == "mp4") return PathMode::kMptcp4;
-  return std::nullopt;
-}
-
 std::string to_string(RunOutcome o) {
   switch (o) {
     case RunOutcome::kCompleted: return "completed";
@@ -70,6 +62,29 @@ void collect_mptcp(RunResult& result, core::MptcpConnection& client_conn,
 }
 
 }  // namespace
+
+std::string check_scenario(const netem::FaultSchedule& faults) {
+  std::string unbound;  // "'a', 'b'", each name once
+  for (const netem::FaultEvent& ev : faults.events()) {
+    if (ev.kind != netem::FaultEvent::Kind::kScheduler) {
+      const std::string name = "'" + ev.link + "'";
+      const bool bound = ev.link == "wifi" || ev.link == "cell";
+      if (!bound && unbound.find(name) == std::string::npos) {
+        unbound += (unbound.empty() ? "" : ", ") + name;
+      }
+      continue;
+    }
+    const std::optional<core::SchedulerKind> kind = core::scheduler_from_string(ev.arg);
+    if (!kind) {
+      return "unknown scheduler '" + ev.arg + "': expected " +
+             sim::name_list(core::kSchedulerNames);
+    }
+    if (*kind != core::SchedulerKind::kWeighted && !ev.weights.empty()) {
+      return "sched " + ev.arg + " takes no weights";
+    }
+  }
+  return unbound.empty() ? "" : "unknown links " + unbound + " (bound: wifi, cell)";
+}
 
 RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg) {
   Testbed tb{testbed_cfg};
@@ -187,7 +202,7 @@ RunResult run_download(Testbed& tb, const RunConfig& run_cfg) {
                                        const std::string& name,
                                        const std::vector<double>& weights) {
       const auto kind = core::scheduler_from_string(name);
-      if (!kind) return;  // parse() validated; unknown names are a no-op here
+      if (!kind) return;  // check_scenario() reports unknown names
       mp_client->connection().set_scheduler(*kind, weights);
       for (core::MptcpConnection* c : mp_server->connections()) {
         c->set_scheduler(*kind, weights);

@@ -12,6 +12,7 @@
 #include "core/connection.h"
 #include "experiment/testbed.h"
 #include "netem/faults.h"
+#include "sim/parse.h"
 #include "sim/stats.h"
 
 namespace mpr::experiment {
@@ -19,8 +20,14 @@ namespace mpr::experiment {
 enum class PathMode { kSingleWifi, kSingleCellular, kMptcp2, kMptcp4 };
 
 [[nodiscard]] std::string to_string(PathMode m);
-/// Scenario/CLI name -> mode: sp-wifi | sp-cell | mp2 | mp4.
-[[nodiscard]] std::optional<PathMode> mode_from_string(const std::string& s);
+/// The path-mode names the CLIs and the campaign spec accept.
+inline constexpr sim::Name<PathMode> kModeNames[] = {
+    {"sp-wifi", PathMode::kSingleWifi}, {"sp-cell", PathMode::kSingleCellular},
+    {"mp2", PathMode::kMptcp2}, {"mp4", PathMode::kMptcp4}};
+
+[[nodiscard]] inline std::optional<PathMode> mode_from_string(std::string_view s) {
+  return sim::from_name(kModeNames, s);
+}
 
 struct RunConfig {
   PathMode mode{PathMode::kMptcp2};
@@ -68,7 +75,7 @@ struct RunConfig {
   /// run_matrix) replay the same script in every repetition and the PR 1
   /// determinism guarantee is preserved. Connection-level `sched` events
   /// switch the dispatch strategy of the client and server connections.
-  netem::FaultSchedule faults;
+  netem::FaultSchedule faults;  // see check_scenario()
   /// Drive the paper's §6 streaming pattern (prefetch + periodic blocks)
   /// instead of one bulk download; `file_bytes` is ignored. Multipath modes
   /// only (the session runs over the MPTCP HTTP client). Underrun and
@@ -133,6 +140,12 @@ struct RunResult {
     return total > 0 ? static_cast<double>(cellular.bytes_received) / total : 0.0;
   }
 };
+
+/// What run_download would silently ignore in `faults`: a link other than
+/// the testbed's "wifi" and "cell", a `sched` name outside
+/// core::kSchedulerNames, or shares on a strategy other than weighted.
+/// Returns a description naming the bad value, or "" when there is none.
+[[nodiscard]] std::string check_scenario(const netem::FaultSchedule& faults);
 
 /// Builds a fresh testbed and performs one measurement.
 [[nodiscard]] RunResult run_download(const TestbedConfig& testbed_cfg, const RunConfig& run_cfg);

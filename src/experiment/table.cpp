@@ -1,19 +1,11 @@
 #include "experiment/table.h"
 
-#include <charconv>
 #include <cstdio>
 #include <limits>
 
+#include "sim/parse.h"
+
 namespace mpr::experiment {
-
-void print_banner(const std::string& title) {
-  std::printf("\n================ %s ================\n", title.c_str());
-}
-
-void print_row(const std::vector<std::string>& cells) {
-  for (const std::string& c : cells) std::printf("%-17s", c.c_str());
-  std::printf("\n");
-}
 
 std::string fmt_box(const analysis::Summary& s, const std::string& unit) {
   if (s.n == 0) return "-";  // empty summaries are all-NaN by contract
@@ -41,9 +33,8 @@ std::string fmt_size(std::uint64_t bytes) {
   return buf;
 }
 
-std::optional<std::uint64_t> size_from_string(const std::string& s) {
+std::optional<std::uint64_t> size_from_string(std::string_view s) {
   std::uint64_t mult = 1;
-  std::size_t digits = s.size();
   if (!s.empty()) {
     switch (s.back()) {
       case 'k': case 'K': mult = 1024; break;
@@ -51,15 +42,11 @@ std::optional<std::uint64_t> size_from_string(const std::string& s) {
       case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
       default: break;
     }
-    if (mult != 1) --digits;
+    if (mult != 1) s.remove_suffix(1);
   }
-  std::uint64_t v = 0;
-  const char* end = s.data() + digits;
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || ptr != end || v > std::numeric_limits<std::uint64_t>::max() / mult) {
-    return std::nullopt;
-  }
-  return v * mult;
+  const std::optional<std::uint64_t> v = sim::int_from_string<std::uint64_t>(s);
+  if (!v || *v > std::numeric_limits<std::uint64_t>::max() / mult) return std::nullopt;
+  return *v * mult;
 }
 
 }  // namespace mpr::experiment

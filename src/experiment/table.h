@@ -5,17 +5,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "analysis/stats.h"
 
 namespace mpr::experiment {
-
-/// "== title ==" banner.
-void print_banner(const std::string& title);
-
-/// Prints one row of fixed-width (16-char) cells.
-void print_row(const std::vector<std::string>& cells);
 
 /// Box summary "min/q1/median/q3/max" with the given unit suffix.
 [[nodiscard]] std::string fmt_box(const analysis::Summary& s, const std::string& unit = "s");
@@ -29,6 +23,6 @@ void print_row(const std::vector<std::string>& cells);
 /// Size in bytes from "512", "64k", "4m" or "1g" (binary multiples, either
 /// case); nullopt for anything else, including signs, fractions and
 /// overflow.
-[[nodiscard]] std::optional<std::uint64_t> size_from_string(const std::string& s);
+[[nodiscard]] std::optional<std::uint64_t> size_from_string(std::string_view s);
 
 }  // namespace mpr::experiment

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <utility>
+
+#include "sim/parse.h"
 
 namespace mpr::netem {
 
@@ -17,23 +19,12 @@ void normalize_link(std::string& link) {
   if (link == "cellular") link = "cell";
 }
 
-}  // namespace
-
-std::string to_string(FaultEvent::Kind k) {
-  switch (k) {
-    case FaultEvent::Kind::kOutage: return "outage";
-    case FaultEvent::Kind::kRestore: return "restore";
-    case FaultEvent::Kind::kRateScale: return "rate";
-    case FaultEvent::Kind::kDelayAdd: return "delay";
-    case FaultEvent::Kind::kBurstLoss: return "burstloss";
-    case FaultEvent::Kind::kLossClear: return "lossclear";
-    case FaultEvent::Kind::kIfaceDown: return "ifdown";
-    case FaultEvent::Kind::kIfaceUp: return "ifup";
-    case FaultEvent::Kind::kMiddlebox: return "mbox";
-    case FaultEvent::Kind::kScheduler: return "sched";
-  }
-  return "?";
+/// An event of `kind` on `link` (moved from) with first argument `a`.
+FaultEvent event_at(double at_s, std::string& link, FaultEvent::Kind kind, double a = 0) {
+  return {.at = sim::Duration::from_seconds(at_s), .link = std::move(link), .kind = kind, .a = a};
 }
+
+}  // namespace
 
 FaultSchedule& FaultSchedule::add(FaultEvent ev) {
   normalize_link(ev.link);
@@ -42,29 +33,19 @@ FaultSchedule& FaultSchedule::add(FaultEvent ev) {
 }
 
 FaultSchedule& FaultSchedule::outage(double at_s, std::string link) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kOutage});
+  return add(event_at(at_s, link, FaultEvent::Kind::kOutage));
 }
 
 FaultSchedule& FaultSchedule::restore(double at_s, std::string link) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kRestore});
+  return add(event_at(at_s, link, FaultEvent::Kind::kRestore));
 }
 
 FaultSchedule& FaultSchedule::rate_scale(double at_s, std::string link, double factor) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kRateScale,
-              .a = factor});
+  return add(event_at(at_s, link, FaultEvent::Kind::kRateScale, factor));
 }
 
 FaultSchedule& FaultSchedule::delay_add(double at_s, std::string link, double extra_ms) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kDelayAdd,
-              .a = extra_ms});
+  return add(event_at(at_s, link, FaultEvent::Kind::kDelayAdd, extra_ms));
 }
 
 FaultSchedule& FaultSchedule::burst_loss(double at_s, std::string link,
@@ -79,30 +60,22 @@ FaultSchedule& FaultSchedule::burst_loss(double at_s, std::string link,
 }
 
 FaultSchedule& FaultSchedule::loss_clear(double at_s, std::string link) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kLossClear});
+  return add(event_at(at_s, link, FaultEvent::Kind::kLossClear));
 }
 
 FaultSchedule& FaultSchedule::iface_down(double at_s, std::string link) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kIfaceDown});
+  return add(event_at(at_s, link, FaultEvent::Kind::kIfaceDown));
 }
 
 FaultSchedule& FaultSchedule::iface_up(double at_s, std::string link) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kIfaceUp});
+  return add(event_at(at_s, link, FaultEvent::Kind::kIfaceUp));
 }
 
 FaultSchedule& FaultSchedule::middlebox(double at_s, std::string link, std::string spec,
                                         double a) {
-  return add({.at = sim::Duration::from_seconds(at_s),
-              .link = std::move(link),
-              .kind = FaultEvent::Kind::kMiddlebox,
-              .a = a,
-              .arg = std::move(spec)});
+  FaultEvent ev = event_at(at_s, link, FaultEvent::Kind::kMiddlebox, a);
+  ev.arg = std::move(spec);
+  return add(std::move(ev));
 }
 
 FaultSchedule& FaultSchedule::scheduler_change(double at_s, std::string name,
@@ -114,130 +87,100 @@ FaultSchedule& FaultSchedule::scheduler_change(double at_s, std::string name,
               .weights = std::move(weights)});
 }
 
-std::vector<std::string> FaultSchedule::unknown_links(
-    std::initializer_list<std::string_view> known) const {
-  std::vector<std::string> out;
-  for (const FaultEvent& ev : events_) {
-    // Connection-level events use the pseudo-link "conn", never bound to an
-    // access network.
-    if (ev.kind == FaultEvent::Kind::kScheduler) continue;
-    const bool bound = std::any_of(known.begin(), known.end(),
-                                   [&](std::string_view k) { return ev.link == k; });
-    if (!bound && std::find(out.begin(), out.end(), ev.link) == out.end()) {
-      out.push_back(ev.link);
-    }
+namespace {
+
+/// Adds the event one tokenized scenario line describes to `out`. Returns
+/// what is wrong with the line, or "" when it is well formed.
+std::string add_event_line(FaultSchedule& out, const std::vector<std::string_view>& tok) {
+  const std::optional<double> at = sim::double_from_string(tok[0]);
+  if (!at || *at < 0 || *at > sim::kMaxInputSeconds) {
+    return "event time '" + std::string{tok[0]} + "': expected seconds in [0, 1e6]";
   }
-  return out;
+  if (tok.size() < 3) return "expected '<time_s> <link> <action>'";
+  const std::string link{tok[1]};
+  const std::string_view action = tok[2];
+  // "mbox" and "sched" take a name before their numeric arguments.
+  const bool named = action == "mbox" || action == "sched";
+  if (named && tok.size() < 4) return std::string{action} + " needs a name";
+  const std::string sub{named ? tok[3] : std::string_view{}};
+  std::vector<double> args;
+  for (std::size_t i = named ? 4 : 3; i < tok.size(); ++i) {
+    const std::optional<double> v = sim::double_from_string(tok[i]);
+    if (!v) return "bad number '" + std::string{tok[i]} + "'";
+    args.push_back(*v);
+  }
+  // Exactly `n` arguments, each in [lo, hi].
+  const auto args_in = [&](std::size_t n, double lo, double hi) {
+    return args.size() == n &&
+           std::all_of(args.begin(), args.end(), [&](double v) { return v >= lo && v <= hi; });
+  };
+  constexpr double kMaxMs = 1e3 * sim::kMaxInputSeconds;
+
+  using Mark = FaultSchedule& (FaultSchedule::*)(double, std::string);
+  constexpr std::pair<std::string_view, Mark> kMarks[] = {
+      {"outage", &FaultSchedule::outage}, {"blackout", &FaultSchedule::outage},
+      {"restore", &FaultSchedule::restore}, {"lossclear", &FaultSchedule::loss_clear},
+      {"ifdown", &FaultSchedule::iface_down}, {"ifup", &FaultSchedule::iface_up}};
+  for (const auto& [name, mark] : kMarks) {
+    if (action != name) continue;
+    if (!args.empty()) return std::string{action} + " takes no arguments";
+    (out.*mark)(*at, link);
+    return {};
+  }
+  if (action == "rate") {
+    if (args.size() != 1 || args[0] <= 0) return "rate needs one factor > 0";
+    out.rate_scale(*at, link, args[0]);
+  } else if (action == "delay") {
+    if (!args_in(1, 0, kMaxMs)) return "delay needs extra ms in [0, 1e9]";
+    out.delay_add(*at, link, args[0]);
+  } else if (action == "burstloss") {
+    if (!args_in(4, 0, 1)) return "burstloss needs p_g2b p_b2g loss_g loss_b in [0, 1]";
+    out.burst_loss(*at, link,
+                   {.p_good_to_bad = args[0],
+                    .p_bad_to_good = args[1],
+                    .loss_good = args[2],
+                    .loss_bad = args[3]});
+  } else if (action == "mbox") {
+    if (sub == "strip_syn" || sub == "strip_join" || sub == "strip_all" || sub == "off") {
+      if (!args.empty()) return "mbox " + sub + " takes no arguments";
+      out.middlebox(*at, link, sub);
+    } else if (sub == "nat_seq" || sub == "split" || sub == "corrupt") {
+      // A sequence offset or an every-n count: a 32-bit integer.
+      const std::optional<std::uint32_t> n =
+          args.size() == 1 ? sim::int_from_string<std::uint32_t>(tok[4]) : std::nullopt;
+      if (!n || (sub != "nat_seq" && *n < 1)) {
+        return sub == "nat_seq" ? "mbox nat_seq needs an integer offset >= 0"
+                                : "mbox " + sub + " needs an integer every-n count >= 1";
+      }
+      out.middlebox(*at, link, sub, *n);
+    } else if (sub == "coalesce") {
+      if (!args_in(1, 0, kMaxMs)) return "mbox coalesce needs hold ms in [0, 1e9]";
+      out.middlebox(*at, link, sub, args[0]);
+    } else {
+      return "unknown mbox subcommand '" + sub + "'";
+    }
+  } else if (action == "sched") {
+    // The name is checked where the scheduler kinds are known
+    // (experiment::check_scenario); only the line's shape is checked here.
+    if (link != "conn") return "sched is connection-level: use the pseudo-link 'conn'";
+    if (std::any_of(args.begin(), args.end(), [](double w) { return w <= 0; })) {
+      return "sched weights must be > 0";
+    }
+    out.scheduler_change(*at, sub, args);
+  } else {
+    return "unknown action '" + std::string{action} + "'";
+  }
+  return {};
 }
 
+}  // namespace
+
 FaultSchedule FaultSchedule::parse(std::istream& in, std::string* error) {
-  auto fail = [&](int line_no, const std::string& what) {
-    if (error != nullptr) *error = "line " + std::to_string(line_no) + ": " + what;
-    return FaultSchedule{};
-  };
-
   FaultSchedule out;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.erase(hash);
-    std::istringstream tok{line};
-    std::string first;
-    if (!(tok >> first)) continue;  // blank / comment-only line
-    double at_s = 0;
-    std::istringstream num{first};
-    if (!(num >> at_s) || !num.eof()) return fail(line_no, "bad event time '" + first + "'");
-    std::string link, action;
-    if (!(tok >> link >> action)) return fail(line_no, "expected '<time_s> <link> <action>'");
-    if (at_s < 0) return fail(line_no, "negative event time");
-
-    // "mbox" and "sched" take a textual subcommand before their numeric
-    // arguments.
-    std::string sub;
-    if ((action == "mbox" || action == "sched") && !(tok >> sub)) {
-      return fail(line_no, action == "mbox"
-                               ? "mbox needs a subcommand (strip_syn, nat_seq, split, ...)"
-                               : "sched needs a strategy (minrtt, rr, weighted, redundant)");
-    }
-
-    std::vector<double> args;
-    for (double v = 0; tok >> v;) args.push_back(v);
-    if (!tok.eof()) return fail(line_no, "trailing non-numeric argument");
-
-    auto need = [&](std::size_t n) { return args.size() == n; };
-    if (action == "outage" || action == "blackout") {
-      if (!need(0)) return fail(line_no, "outage takes no arguments");
-      out.outage(at_s, link);
-    } else if (action == "restore") {
-      if (!need(0)) return fail(line_no, "restore takes no arguments");
-      out.restore(at_s, link);
-    } else if (action == "rate") {
-      if (!need(1) || args[0] <= 0) return fail(line_no, "rate needs one factor > 0");
-      out.rate_scale(at_s, link, args[0]);
-    } else if (action == "delay") {
-      if (!need(1) || args[0] < 0) return fail(line_no, "delay needs extra ms >= 0");
-      out.delay_add(at_s, link, args[0]);
-    } else if (action == "burstloss") {
-      if (!need(4)) return fail(line_no, "burstloss needs p_g2b p_b2g loss_g loss_b");
-      for (double p : args) {
-        if (p < 0 || p > 1) return fail(line_no, "burstloss parameters must be in [0,1]");
-      }
-      out.burst_loss(at_s, link,
-                     {.p_good_to_bad = args[0],
-                      .p_bad_to_good = args[1],
-                      .loss_good = args[2],
-                      .loss_bad = args[3]});
-    } else if (action == "lossclear") {
-      if (!need(0)) return fail(line_no, "lossclear takes no arguments");
-      out.loss_clear(at_s, link);
-    } else if (action == "ifdown") {
-      if (!need(0)) return fail(line_no, "ifdown takes no arguments");
-      out.iface_down(at_s, link);
-    } else if (action == "ifup") {
-      if (!need(0)) return fail(line_no, "ifup takes no arguments");
-      out.iface_up(at_s, link);
-    } else if (action == "mbox") {
-      if (sub == "strip_syn" || sub == "strip_join" || sub == "strip_all" || sub == "off") {
-        if (!need(0)) return fail(line_no, "mbox " + sub + " takes no arguments");
-        out.middlebox(at_s, link, sub);
-      } else if (sub == "nat_seq") {
-        if (!need(1) || args[0] < 0) return fail(line_no, "mbox nat_seq needs an offset >= 0");
-        out.middlebox(at_s, link, sub, args[0]);
-      } else if (sub == "split" || sub == "corrupt") {
-        if (!need(1) || args[0] < 1) {
-          return fail(line_no, "mbox " + sub + " needs an every-n count >= 1");
-        }
-        out.middlebox(at_s, link, sub, args[0]);
-      } else if (sub == "coalesce") {
-        if (!need(1) || args[0] < 0) return fail(line_no, "mbox coalesce needs hold ms >= 0");
-        out.middlebox(at_s, link, sub, args[0]);
-      } else {
-        return fail(line_no, "unknown mbox subcommand '" + sub + "'");
-      }
-    } else if (action == "sched") {
-      if (link != "conn") {
-        return fail(line_no, "sched is connection-level: use the pseudo-link 'conn'");
-      }
-      // The strategy name set is duplicated here (netem cannot see
-      // core::scheduler_from_string); the harness revalidates on apply.
-      if (sub != "minrtt" && sub != "rr" && sub != "roundrobin" && sub != "weighted" &&
-          sub != "redundant") {
-        return fail(line_no, "unknown scheduler '" + sub + "'");
-      }
-      if (sub != "weighted" && !need(0)) {
-        return fail(line_no, "sched " + sub + " takes no weights");
-      }
-      for (double w : args) {
-        if (w <= 0) return fail(line_no, "sched weights must be > 0");
-      }
-      out.scheduler_change(at_s, sub, args);
-    } else {
-      return fail(line_no, "unknown action '" + action + "'");
-    }
-  }
-  if (error != nullptr) error->clear();
-  return out;
+  const std::string what = sim::parse_lines(
+      in, [&out](const std::vector<std::string_view>& tok) { return add_event_line(out, tok); });
+  if (error != nullptr) *error = what;
+  return what.empty() ? out : FaultSchedule{};
 }
 
 FaultSchedule FaultSchedule::parse_file(const std::string& path, std::string* error) {

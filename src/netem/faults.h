@@ -3,56 +3,45 @@
 //
 // The paper's most interesting MPTCP behaviour happens when a path
 // misbehaves — bursty WiFi loss, the loaded coffee-shop hotspot, the §6
-// walk-out-of-range story. A FaultSchedule scripts those episodes:
+// walk-out-of-range story. A FaultSchedule scripts those episodes. It is
+// plain data (value type), replayed per run on that run's simulation clock,
+// so the PR 1 determinism guarantee holds: the same seed and schedule
+// produce bit-identical results at any MPR_JOBS.
 //
-//   * outage / restore      — blackout (every packet dropped) and recovery
-//   * rate                  — step the link's service rate (× factor)
-//   * delay                 — add fixed extra one-way delay
-//   * burstloss / lossclear — Gilbert-Elliott episode overriding the
-//                             profile's wire-loss model
-//   * ifdown / ifup         — interface removal/return: blackout plus a
-//                             notification the harness turns into
-//                             REMOVE_ADDR / re-join at the MPTCP client
-//   * mbox <sub>            — middlebox interference on the link
-//                             (netem::Middlebox): strip_syn | strip_join |
-//                             strip_all | nat_seq <off> | split <n> |
-//                             coalesce <hold_ms> | corrupt <n> | off
-//   * sched <name> [w...]   — switch the MPTCP dispatch strategy at runtime
-//                             (minrtt | rr | roundrobin | weighted |
-//                             redundant; weighted takes per-subflow shares).
-//                             Connection-level, so the link column is the
-//                             pseudo-link "conn"; the harness wires
-//                             on_scheduler_change to the MPTCP stack.
+// Scenario text format (`FaultSchedule::parse`, `mpr_run --scenario`): one
+// event per line, `#` starts a comment. "cellular" is an alias of "cell".
 //
-// Schedules are plain data (value type) and are replayed per run on that
-// run's simulation clock, so the PR 1 determinism guarantee holds: the same
-// seed and schedule produce bit-identical results at any MPR_JOBS.
+//   # time_s link action     [args]
+//   2.0    wifi  outage                         # blackout: every packet dropped
+//   12.0   wifi  restore                        # end of the blackout
+//   3.0    cell  rate       0.25                # × nominal service rate, > 0
+//   4.0    cell  delay      120                 # +ms one-way, both directions
+//   6.0    wifi  burstloss  0.01 0.3 0.02 0.4   # Gilbert-Elliott p_g2b p_b2g
+//                                               # loss_g loss_b, each in [0, 1]
+//   9.0    wifi  lossclear                      # back to the profile's loss
+//   20.0   wifi  ifdown                         # blackout + REMOVE_ADDR at the
+//   30.0   wifi  ifup                           # client; restore + re-join
+//   0.0    wifi  mbox strip_syn                 # netem::Middlebox: strip_syn |
+//   0.0    cell  mbox corrupt 4                 # strip_join | strip_all | off |
+//                                               # nat_seq <off> | split <n> |
+//                                               # corrupt <n> | coalesce <ms>
+//   5.0    conn  sched <name> 2 1               # MPTCP strategy switch
 //
-// Scenario text format (`FaultSchedule::parse`, `mpr_run --scenario`):
-// one event per line, `#` starts a comment:
-//
-//   # time_s  link  action     [args]
-//   2.0       wifi  outage
-//   12.0      wifi  restore
-//   3.0       cell  rate       0.25                 # × nominal rate
-//   4.0       cell  delay      120                  # +ms one-way, both dirs
-//   6.0       wifi  burstloss  0.01 0.3 0.02 0.4    # p_g2b p_b2g loss_g loss_b
-//   9.0       wifi  lossclear
-//   20.0      wifi  ifdown
-//   30.0      wifi  ifup
-//   0.0       wifi  mbox strip_syn
-//   0.0       cell  mbox corrupt 4
-//   5.0       conn  sched weighted 2 1
-//   15.0      conn  sched redundant
+// Numbers are plain decimals (sim/parse.h): no leading '+', no nan or inf.
+// Times are seconds in [0, 1e6]; delay and coalesce take milliseconds in
+// [0, 1e9]. The mbox counts (nat_seq offset; split and corrupt every-n >= 1)
+// are unsigned 32-bit integers. `sched` is connection-level, on the
+// pseudo-link "conn": its name is one of core::kSchedulerNames and its
+// optional shares (> 0) are per subflow. parse() checks only that shape;
+// experiment::check_scenario checks the name, and the harness wires
+// on_scheduler_change to the MPTCP stack.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <istream>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netem/access.h"
@@ -80,10 +69,8 @@ struct FaultEvent {
   Kind kind{Kind::kOutage};
   double a{0}, b{0}, c{0}, d{0};
   std::string arg{};  // kMiddlebox subcommand (strip_syn, ...) / kScheduler name
-  std::vector<double> weights{};  // kScheduler: weighted-strategy shares
+  std::vector<double> weights{};  // kScheduler: per-subflow shares
 };
-
-[[nodiscard]] std::string to_string(FaultEvent::Kind k);
 
 /// An ordered scenario timeline. Value type: copy it into a RunConfig and
 /// every repetition replays the same script on its own simulation.
@@ -107,8 +94,7 @@ class FaultSchedule {
   /// nat_seq | split | coalesce | corrupt | off); `a` its numeric argument.
   FaultSchedule& middlebox(double at_s, std::string link, std::string spec, double a = 0);
   /// Connection-level strategy switch (pseudo-link "conn"): `name` is a
-  /// scheduler name (minrtt | rr | roundrobin | weighted | redundant),
-  /// `weights` the weighted strategy's per-subflow shares.
+  /// core::kSchedulerNames name, `weights` its per-subflow shares.
   FaultSchedule& scheduler_change(double at_s, std::string name,
                                   std::vector<double> weights = {});
 
@@ -122,12 +108,6 @@ class FaultSchedule {
   [[nodiscard]] static FaultSchedule parse(std::istream& in, std::string* error = nullptr);
   [[nodiscard]] static FaultSchedule parse_file(const std::string& path,
                                                std::string* error = nullptr);
-
-  /// Link names this schedule references that are not in `known` (after the
-  /// usual aliasing, e.g. "cellular" -> "cell"). A harness should treat a
-  /// non-empty result as a scenario error, not a silent typo.
-  [[nodiscard]] std::vector<std::string> unknown_links(
-      std::initializer_list<std::string_view> known) const;
 
  private:
   std::vector<FaultEvent> events_;

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <utility>
+
+#include "sim/parse.h"
 
 namespace mpr::sim {
 
@@ -71,8 +74,8 @@ void ThreadPool::worker_loop() {
 unsigned effective_jobs(int requested) {
   if (requested > 0) return static_cast<unsigned>(requested);
   if (const char* env = std::getenv("MPR_JOBS"); env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<unsigned>(v);
+    const std::optional<unsigned> v = int_from_string<unsigned>(env);
+    if (v && *v > 0) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

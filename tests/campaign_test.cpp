@@ -243,6 +243,15 @@ TEST(CampaignSpec, RejectsMalformedInputWithLineNumber) {
   expect_error("loss-scale 2.0 1.0\n", "loss-scale");
   expect_error("users 10 trailing\n", "trailing");
   expect_error("users 0\n", "users");
+  // A sign on a count is an error, never a wrap to 2^64 - k.
+  expect_error("users -1\n", "line 1: users");
+  expect_error("seed 7\nseed -1\n", "line 2: seed");
+  expect_error("checkpoint-every -2\n", "line 1: checkpoint-every");
+  expect_error("failure-budget -1\n", "line 1: failure-budget");
+  expect_error("max-events -1\n", "line 1: max-events");
+  expect_error("users +8\n", "line 1: users");
+  expect_error("users 18446744073709551616\n", "line 1: users");
+  expect_error("rtt-sigma 1e300\n", "line 1: rtt-sigma");
 }
 
 TEST(CampaignSpec, HashCoversPopulationButNotCheckpointKnobs) {

@@ -204,7 +204,7 @@ struct FaultCase {
   bool mp4{false};
   bool capture_trace{false};
   double deadline_s{300};
-  core::MptcpConfig cfg;  // subflow/join/dead-path knobs
+  core::MptcpConfig cfg;  // subflow knobs
 };
 
 FaultOutcome run_faulted(const FaultCase& fc, experiment::Testbed* keep_tb = nullptr) {
@@ -291,7 +291,6 @@ TEST(JoinRecovery, JoinSynsLostToOutageAreRetried) {
   // recover the path.
   fc.faults.outage(0.0, "cell").restore(4.0, "cell");
   fc.cfg.subflow.max_syn_retries = 1;
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
@@ -315,7 +314,6 @@ TEST(JoinRecovery, JoinSurvivesBernoulliLossEpisode) {
       .burst_loss(0.0, "cell",
                   {.p_good_to_bad = 0.5, .p_bad_to_good = 0.5, .loss_good = 0.4, .loss_bad = 0.4})
       .loss_clear(6.0, "cell");
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.conn_delivered, fc.bytes);
@@ -334,7 +332,6 @@ TEST(JoinRecovery, AddAddrPathsComeUpUnderLoss) {
       .burst_loss(0.0, "wifi",
                   {.p_good_to_bad = 0.5, .p_bad_to_good = 0.5, .loss_good = 0.3, .loss_bad = 0.3})
       .loss_clear(5.0, "wifi");
-  fc.cfg.join_retry_initial = sim::Duration::from_millis(500);
   const FaultOutcome out = run_faulted(fc);
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.conn_delivered, fc.bytes);
@@ -364,37 +361,38 @@ TEST(InterfaceEvents, RemoveAddrThenRejoinMidDownload) {
 }
 
 // ---------------------------------------------------------------------------
-// All paths dead: the connection must error out, not hang.
+// All paths dead: the connection must error out, not hang. Each deadline
+// keeps a fixed margin over the dead-path timeout.
+
+constexpr double kDeadS = core::kAllPathsDeadTimeout.to_seconds();
 
 TEST(AllPathsDead, ClientFailsWhenEveryInterfaceGoesAway) {
   FaultCase fc;
   fc.bytes = 8ull << 20;
   fc.seed = 13;
-  fc.deadline_s = 120;
+  fc.deadline_s = kDeadS + 115;
   // Both interfaces are removed at t=1.5 s and never return (walked out of
   // range of everything). REMOVE_ADDR kills every subflow at the client;
   // with no viable path past the deadline the client app gets an error.
   fc.faults.iface_down(1.5, "wifi").iface_down(1.5, "cell");
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed) << "connection must fail, not hang until the test deadline";
-  // Failure arrives around interface removal + the 5 s dead deadline — far
-  // before the 120 s harness deadline.
-  EXPECT_LT(out.finish_s, 60.0);
+  // Failure arrives around interface removal + the dead deadline — far
+  // before the harness deadline.
+  EXPECT_LT(out.finish_s, kDeadS + 55);
 }
 
 TEST(AllPathsDead, SenderFailsDuringEndlessBlackout) {
   FaultCase fc;
   fc.bytes = 8ull << 20;
   fc.seed = 13;
-  fc.deadline_s = 30;
+  fc.deadline_s = kDeadS + 25;
   // Silent blackout of both links: no interface events, every packet
   // dropped. Only the data sender (the server, which has unacked data and
   // sees the RTO spiral) can detect this — exactly TCP's ETIMEDOUT
   // semantics; an idle receiver has no signal to act on.
   fc.faults.outage(1.5, "wifi").outage(1.5, "cell");
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.server_failed) << "the sender must error out of the RTO spiral";
@@ -404,10 +402,9 @@ TEST(AllPathsDead, InitialHandshakeGivesUpWithError) {
   FaultCase fc;
   fc.bytes = 1ull << 20;
   fc.seed = 14;
-  fc.deadline_s = 120;
+  fc.deadline_s = kDeadS + 115;
   fc.faults.outage(0.0, "wifi").outage(0.0, "cell");  // nothing ever gets out
   fc.cfg.subflow.max_syn_retries = 2;
-  fc.cfg.all_paths_dead_timeout = sim::Duration::seconds(5);
   const FaultOutcome out = run_faulted(fc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed);

@@ -100,10 +100,9 @@ TEST(MiddleboxSchedule, ReportsUnknownLinks) {
       .middlebox(0.0, "satellite", "strip_all")
       .outage(1.0, "lte")
       .middlebox(2.0, "cellular", "corrupt", 4);  // normalizes to "cell": bound
-  const std::vector<std::string> unbound = s.unknown_links({"wifi", "cell"});
-  ASSERT_EQ(unbound.size(), 2u);
-  EXPECT_EQ(unbound[0], "satellite");
-  EXPECT_EQ(unbound[1], "lte");
+  // Each unbound name once, in order; "cellular" is bound as "cell".
+  EXPECT_EQ(experiment::check_scenario(s),
+            "unknown links 'satellite', 'lte' (bound: wifi, cell)");
 }
 
 // ---------------------------------------------------------------------------

@@ -538,7 +538,7 @@ TEST(SchedScenario, ParsesNameAndWeights) {
   EXPECT_EQ(s.events()[1].arg, "redundant");
   EXPECT_TRUE(s.events()[1].weights.empty());
   // Connection-level events never count as unknown links.
-  EXPECT_TRUE(s.unknown_links({"wifi", "cell"}).empty());
+  EXPECT_EQ(experiment::check_scenario(s), "");
 }
 
 TEST(SchedScenario, RejectsMalformedLines) {
@@ -550,10 +550,21 @@ TEST(SchedScenario, RejectsMalformedLines) {
     EXPECT_TRUE(s.empty());
   };
   expect_error("5.0 wifi sched rr\n");             // not on the conn pseudo-link
-  expect_error("5.0 conn sched fancy\n");          // unknown strategy name
   expect_error("5.0 conn sched weighted 2 -1\n");  // non-positive share
-  expect_error("5.0 conn sched rr 2 1\n");         // weights on a non-weighted strategy
   expect_error("5.0 conn sched\n");                // missing name
+  // The strategy itself is checked where the scheduler kinds are known.
+  const auto expect_check_error = [](const char* text, const char* bad_value) {
+    std::istringstream in{text};
+    std::string error;
+    const FaultSchedule s = FaultSchedule::parse(in, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const std::string what = experiment::check_scenario(s);
+    EXPECT_NE(what.find(bad_value), std::string::npos) << text << ": " << what;
+  };
+  expect_check_error("5.0 conn sched fancy\n", "'fancy'");  // unknown strategy name
+  expect_check_error("5.0 conn sched rr 2 1\n", "sched rr");  // weights on a non-weighted strategy
+  std::istringstream valid{"5.0 conn sched weighted 2 1\n6.0 conn sched roundrobin\n"};
+  EXPECT_EQ(experiment::check_scenario(FaultSchedule::parse(valid)), "");
 }
 
 TEST(SchedScenario, InjectorFiresTheCallback) {

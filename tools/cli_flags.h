@@ -4,15 +4,12 @@
 // and the values it accepts, and the tool exits 1.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
-#include <system_error>
-#include <vector>
+#include <string_view>
 
 #include "core/coupled_cc.h"
 #include "core/scheduler.h"
@@ -21,6 +18,7 @@
 #include "experiment/table.h"
 #include "experiment/testbed.h"
 #include "netem/faults.h"
+#include "sim/parse.h"
 
 namespace mpr::tools {
 
@@ -33,8 +31,9 @@ class Flags {
     }
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(std::move(arg));
+      if (arg.rfind("--", 0) != 0) {  // every argument is a flag or a flag's value
+        std::fprintf(stderr, "%s: unexpected argument '%s'\n", program_.c_str(), arg.c_str());
+        ok_ = false;
         continue;
       }
       arg = arg.substr(2);
@@ -56,22 +55,27 @@ class Flags {
     return it == values_.end() ? def : it->second;
   }
 
-  [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const {
+  /// A boolean flag: absent = `def`; bare, `true` or `1` = true; `false`
+  /// or `0` = false. Any other value is reported and reads as `def`.
+  [[nodiscard]] bool get_bool(const std::string& name, bool def = false) {
     const auto it = values_.find(name);
     if (it == values_.end()) return def;
-    return it->second != "false" && it->second != "0";
+    if (it->second == "true" || it->second == "1") return true;
+    if (it->second == "false" || it->second == "0") return false;
+    error(name, "expected true | false | 1 | 0, or the bare flag");
+    return def;
   }
 
-  /// `--name` read through `parse`, a `std::optional<T>(const std::string&)`
+  /// `--name` read through `parse`, a `std::optional<T>(std::string_view)`
   /// parser, or `def` when the flag is absent. A value `parse` rejects is
   /// reported as "expected <accepted>" and `def` is returned.
   template <typename T, typename Parse>
   [[nodiscard]] T parse(const std::string& name, T def, Parse parse_value,
-                        const char* accepted) {
+                        const std::string& accepted) {
     const auto it = values_.find(name);
     if (it == values_.end()) return def;
     if (const std::optional<T> v = parse_value(it->second)) return *v;
-    error(name, std::string("expected ") + accepted);
+    error(name, "expected " + accepted);
     return def;
   }
 
@@ -85,69 +89,30 @@ class Flags {
   /// False once any flag value was rejected.
   [[nodiscard]] bool ok() const { return ok_; }
 
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
-
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
   bool ok_{true};
 };
 
-/// The whole of `s` as a decimal integer of type Int (no sign for unsigned
-/// types, no surrounding text); nullopt otherwise or on overflow.
-template <typename Int>
-[[nodiscard]] std::optional<Int> int_from_string(const std::string& s) {
-  Int v{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return v;
-}
-
-/// The whole of `s` as a finite decimal number; nullopt otherwise.
-[[nodiscard]] inline std::optional<double> double_from_string(const std::string& s) {
-  double v = 0.0;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) return std::nullopt;
-  return v;
-}
-
-/// Decimal seconds in [0, 1e6] ("30", "0.5") as a duration.
-[[nodiscard]] inline std::optional<sim::Duration> seconds_from_string(const std::string& s) {
-  const std::optional<double> v = double_from_string(s);
-  if (!v || *v < 0.0 || *v > 1e6) return std::nullopt;
-  return sim::Duration::from_seconds(*v);
-}
-
-/// Parses `--sched` (name, optionally `weighted:w1,w2,...`) into the config.
-/// Returns false on an unknown name or malformed weight list.
-[[nodiscard]] inline bool parse_sched(const std::string& spec, experiment::RunConfig& rc) {
-  std::string name = spec;
-  std::string weight_list;
-  if (const std::size_t colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    weight_list = spec.substr(colon + 1);
-  }
-  const auto kind = core::scheduler_from_string(name);
+/// Parses `--sched` (a scheduler name, optionally `weighted:w1,w2,...`)
+/// into the config. Returns false on an unknown name or a bad share list.
+[[nodiscard]] inline bool parse_sched(std::string_view spec, experiment::RunConfig& rc) {
+  const std::size_t colon = spec.find(':');
+  const auto kind = core::scheduler_from_string(spec.substr(0, colon));
   if (!kind) return false;
   rc.scheduler = *kind;
   rc.scheduler_weights.clear();
-  if (weight_list.empty()) return true;
+  if (colon == std::string_view::npos) return true;
   if (*kind != core::SchedulerKind::kWeighted) return false;
-  std::size_t pos = 0;
-  while (pos <= weight_list.size()) {
-    const std::size_t comma = weight_list.find(',', pos);
-    const std::string tok =
-        weight_list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const std::optional<double> w = double_from_string(tok);
+  for (std::string_view rest = spec.substr(colon + 1);;) {
+    const std::size_t comma = rest.find(',');
+    const std::optional<double> w = sim::double_from_string(rest.substr(0, comma));
     if (!w || *w <= 0.0) return false;
     rc.scheduler_weights.push_back(*w);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    if (comma == std::string_view::npos) return true;
+    rest.remove_prefix(comma + 1);
   }
-  return !rc.scheduler_weights.empty();
 }
 
 /// Applies the single-run flags (listed in tools/mpr_run.cpp's header) to
@@ -156,19 +121,20 @@ template <typename Int>
 /// clears flags.ok().
 inline void parse_run_flags(Flags& flags, experiment::TestbedConfig& tb,
                             experiment::RunConfig& rc) {
-  tb.seed = flags.parse("seed", tb.seed, int_from_string<std::uint64_t>,
+  tb.seed = flags.parse("seed", tb.seed, sim::int_from_string<std::uint64_t>,
                         "a non-negative integer");
   if (flags.get_bool("hotspot")) tb.wifi = netem::wifi_hotspot();
-  tb.cellular = experiment::carrier_profile(
-      flags.parse("carrier", experiment::Carrier::kAtt, experiment::carrier_from_string,
-                  "att | verizon | vzw | sprint"));
+  tb.cellular = experiment::carrier_profile(flags.parse(
+      "carrier", experiment::Carrier::kAtt, experiment::carrier_from_string,
+      sim::name_list(experiment::kCarrierNames)));
   tb.cellular.codel_downlink = flags.get_bool("codel");
 
   rc.mode = flags.parse("mode", rc.mode, experiment::mode_from_string,
-                        "sp-wifi | sp-cell | mp2 | mp4");
-  rc.cc = flags.parse("cc", rc.cc, core::cc_from_string, "coupled | olia | reno | vegas");
+                        sim::name_list(experiment::kModeNames));
+  rc.cc = flags.parse("cc", rc.cc, core::cc_from_string, sim::name_list(core::kCcNames));
   if (flags.has("sched") && !parse_sched(flags.get("sched"), rc)) {
-    flags.error("sched", "expected minrtt | rr | roundrobin | weighted[:w1,w2,...] | redundant");
+    flags.error("sched", "expected " + sim::name_list(core::kSchedulerNames) +
+                             ", with weighted:w1,w2,... setting shares > 0");
   }
   rc.file_bytes = flags.parse("size", rc.file_bytes, experiment::size_from_string,
                               "a byte count with an optional k | m | g suffix");
@@ -177,23 +143,16 @@ inline void parse_run_flags(Flags& flags, experiment::TestbedConfig& tb,
   rc.dss_checksum = flags.get_bool("checksum");
   rc.checksum_teardown = flags.get_bool("teardown");
   rc.tcp_fallback = !flags.get_bool("no-fallback");
-  rc.max_events = flags.parse("max-events", rc.max_events, int_from_string<std::uint64_t>,
+  rc.max_events = flags.parse("max-events", rc.max_events, sim::int_from_string<std::uint64_t>,
                               "a non-negative integer (0 = no cap)");
-  rc.max_sim_time = flags.parse("max-sim-time", rc.max_sim_time, seconds_from_string,
+  rc.max_sim_time = flags.parse("max-sim-time", rc.max_sim_time, sim::seconds_from_string,
                                 "seconds in [0, 1e6] (0 = no cap)");
 
   if (const std::string scenario = flags.get("scenario"); !scenario.empty()) {
     std::string error;
     rc.faults = netem::FaultSchedule::parse_file(scenario, &error);
-    if (!error.empty()) {
-      flags.error("scenario", error);
-    } else {
-      // The testbed binds exactly two links; a typo'd link name would make
-      // the schedule a silent no-op, so fail loudly instead.
-      for (const std::string& l : rc.faults.unknown_links({"wifi", "cell"})) {
-        flags.error("scenario", "unknown link '" + l + "' (bound: wifi, cell)");
-      }
-    }
+    if (error.empty()) error = experiment::check_scenario(rc.faults);
+    if (!error.empty()) flags.error("scenario", error);
   }
 }
 

@@ -339,6 +339,7 @@ void middlebox(Golden& out) {
   rc.file_bytes = 1 * kMiB;
   rc.dss_checksum = true;
   rc.faults = netem::FaultSchedule::parse(text, &error);
+  if (error.empty()) error = check_scenario(rc.faults);
   if (!error.empty()) std::fprintf(stderr, "mpr_golden: middlebox scenario: %s\n", error.c_str());
   for (std::uint64_t seed : {1, 2}) {
     TestbedConfig tb = testbed_for(Carrier::kAtt);

@@ -6,9 +6,9 @@
 //
 // Single-run flags (shared with mpr_trace; parsed in cli_flags.h):
 //   --mode     sp-wifi | sp-cell | mp2 | mp4        (default mp2)
-//   --carrier  att | verizon (vzw) | sprint         (default att)
-//   --cc       coupled | olia | reno | vegas       (default coupled)
-//   --sched    minrtt | rr | weighted[:w1,w2,...] | redundant   (default minrtt)
+//   --carrier  att | verizon | vzw | sprint         (default att)
+//   --cc       coupled | olia | reno | vegas        (default coupled)
+//   --sched    minrtt | roundrobin | rr | weighted | redundant  (default minrtt)
 //              weighted takes per-subflow shares, e.g. --sched weighted:2,1
 //   --size     object bytes, k/m/g suffixes         (default 4m)
 //   --seed     RNG seed                             (default 1)
@@ -38,10 +38,11 @@
 //   Exit codes: 0 complete, 1 error, 2 failure budget exhausted,
 //               128+signal when interrupted (checkpoint written first).
 //
-// A flag value outside the accepted set (an unknown --cc name, a --size
-// with a stray suffix, a --reps that is not a positive integer, ...) is
-// reported on stderr with the values the flag accepts, and mpr_run exits 1
-// without running anything.
+// Values are read strictly (sim/parse.h): a number is a decimal token with
+// no '+', a count (--seed, --reps, --max-events) takes no sign, and a
+// boolean flag is bare or takes true | false | 1 | 0. A bad value (--cc
+// olai, --size 4x, --reps -1, --simsyn=no, ...) is reported on stderr with
+// the values the flag accepts, and mpr_run exits 1 without running anything.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -128,19 +129,21 @@ void print_sketch_json(const char* name, const analysis::QSketch& s, bool traili
               trailing_comma ? "," : "");
 }
 
-int run_campaign_cli(const tools::Flags& flags, int jobs) {
+int run_campaign_cli(tools::Flags& flags, int jobs) {
+  CampaignOptions opt;
+  opt.checkpoint_path = flags.get("checkpoint", "");
+  opt.resume = flags.get_bool("resume");
+  opt.jobs = jobs;
+  opt.handle_signals = true;
+  const bool json = flags.get_bool("json");
+  if (!flags.ok()) return 1;
+
   std::string error;
   const CampaignSpec spec = CampaignSpec::parse_file(flags.get("campaign"), &error);
   if (!error.empty()) {
     std::fprintf(stderr, "mpr_run: --campaign: %s\n", error.c_str());
     return 1;
   }
-
-  CampaignOptions opt;
-  opt.checkpoint_path = flags.get("checkpoint", "");
-  opt.resume = flags.get_bool("resume");
-  opt.jobs = jobs;
-  opt.handle_signals = true;
 
   const std::optional<CampaignResult> res = run_campaign(spec, opt, &error);
   if (!res) {
@@ -149,7 +152,7 @@ int run_campaign_cli(const tools::Flags& flags, int jobs) {
   }
   const CampaignAggregates& agg = res->agg;
 
-  if (flags.get_bool("json")) {
+  if (json) {
     std::printf("{\"users\":%llu,\"users_done\":%llu,\"completed\":%llu,\"timeouts\":%llu,"
                 "\"quarantined\":%llu,\"delivered_bytes\":%llu,"
                 "\"interrupted\":%s,\"budget_exhausted\":%s,",
@@ -216,22 +219,18 @@ int main(int argc, char** argv) {
     std::printf("see the header of tools/mpr_run.cpp for flags\n");
     return 0;
   }
-  const int jobs = flags.parse("jobs", 0, tools::int_from_string<int>,
+  const int jobs = flags.parse("jobs", 0, sim::int_from_string<int>,
                                "an integer (<= 0: MPR_JOBS, else all cores)");
-  if (flags.has("campaign")) return flags.ok() ? run_campaign_cli(flags, jobs) : 1;
+  if (flags.has("campaign")) return run_campaign_cli(flags, jobs);
 
   TestbedConfig tb;
   RunConfig rc;
   rc.file_bytes = 4 << 20;
   tools::parse_run_flags(flags, tb, rc);
-  const int reps = flags.parse("reps", 1,
-                               [](const std::string& s) {
-                                 const auto n = tools::int_from_string<int>(s);
-                                 return n && *n > 0 ? n : std::nullopt;
-                               },
-                               "a positive integer");
-  if (!flags.ok()) return 1;
+  const int reps = flags.parse("reps", 1, sim::int_from_string<int>, "a positive integer");
+  if (reps <= 0) flags.error("reps", "expected a positive integer");
   const bool json = flags.get_bool("json");
+  if (!flags.ok()) return 1;
 
   // Reps are independently-seeded simulations: run them across the worker
   // pool, then print in rep order so output is identical at any job count.

@@ -15,8 +15,8 @@
 //   --capture  deliver | send: which side's records go to the .pcap
 //              (default deliver)
 #include <cstdio>
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "analysis/pcap.h"
 #include "cli_flags.h"
@@ -31,14 +31,12 @@ int main(int argc, char** argv) {
   TestbedConfig tb_cfg;
   RunConfig rc;
   tools::parse_run_flags(flags, tb_cfg, rc);
+  constexpr sim::Name<net::TraceEvent::Kind> kCaptureNames[] = {
+      {"deliver", net::TraceEvent::Kind::kDeliver}, {"send", net::TraceEvent::Kind::kSend}};
   const net::TraceEvent::Kind capture = flags.parse(
       "capture", net::TraceEvent::Kind::kDeliver,
-      [](const std::string& s) -> std::optional<net::TraceEvent::Kind> {
-        if (s == "deliver") return net::TraceEvent::Kind::kDeliver;
-        if (s == "send") return net::TraceEvent::Kind::kSend;
-        return std::nullopt;
-      },
-      "deliver | send");
+      [&](std::string_view s) { return sim::from_name(kCaptureNames, s); },
+      sim::name_list(kCaptureNames));
   if (!flags.ok()) return 1;
 
   tb_cfg.capture_trace = true;
