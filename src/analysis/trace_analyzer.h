@@ -8,10 +8,15 @@
 //    reverse-direction ACK with ack > segment end, excluding segments that
 //    were ever retransmitted (tcptrace's Karn-compliant estimator, §3.3)
 //  * bytes carried — payload bytes delivered to the receiver
+//
+// One pass over the capture with flat per-flow state: a small flow table,
+// the segments awaiting their first ACK in a sequence-sorted table, and the
+// union of retransmitted ranges, so Karn's check costs O(log r) per acked
+// segment for r disjoint retransmitted ranges.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "analysis/trace.h"
@@ -36,17 +41,19 @@ struct FlowReport {
 class TcptraceAnalyzer {
  public:
   /// Analyzes all flows that carried payload in `trace`.
-  explicit TcptraceAnalyzer(const PacketTrace& trace);
+  explicit TcptraceAnalyzer(const PacketTrace& trace)
+      : TcptraceAnalyzer{std::span{trace.records().begin(), trace.records().end()}} {}
+  /// Analyzes a capture's records, in capture order.
+  explicit TcptraceAnalyzer(std::span<const TraceRecord> records);
 
-  /// Reports for every data-carrying flow direction found.
+  /// Reports for every data-carrying flow direction found, in FlowKey order.
   [[nodiscard]] const std::vector<FlowReport>& flows() const { return reports_; }
 
   /// Report for one direction, or nullptr if it carried no data.
   [[nodiscard]] const FlowReport* flow(const net::FlowKey& key) const;
 
  private:
-  std::vector<FlowReport> reports_;
-  std::unordered_map<net::FlowKey, std::size_t> index_;
+  std::vector<FlowReport> reports_;  // sorted by flow
 };
 
 }  // namespace mpr::analysis

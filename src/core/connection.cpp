@@ -292,11 +292,14 @@ void MptcpConnection::on_data_fin_signal(std::uint64_t fin_dsn) {
 void MptcpConnection::pump_all() {
   if (pumping_all_) return;
   pumping_all_ = true;
-  std::vector<MptcpSubflow*> order = subflows();
-  std::erase_if(order, [](const MptcpSubflow* sf) {
-    return sf->state() != tcp::TcpState::kEstablished &&
-           sf->state() != tcp::TcpState::kCloseWait;
-  });
+  std::vector<MptcpSubflow*>& order = pump_order_;
+  order.clear();
+  for (const auto& sf : subflows_) {
+    if (sf->state() == tcp::TcpState::kEstablished ||
+        sf->state() == tcp::TcpState::kCloseWait) {
+      order.push_back(sf.get());
+    }
+  }
   scheduler_.order(order);
 #if MPR_AUDIT
   {

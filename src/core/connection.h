@@ -356,6 +356,9 @@ class MptcpConnection {
   std::unordered_map<const MptcpSubflow*, sim::TimePoint> last_penalty_;
   std::uint64_t penalizations_{0};
   bool pumping_all_{false};
+  /// pump_all's dispatch order, reused across calls (pumping_all_ rules
+  /// out re-entry, so one buffer suffices).
+  std::vector<MptcpSubflow*> pump_order_;
 
 #if MPR_AUDIT
   /// DSN-space auditor; owned by the Simulation's check::Auditor service so

@@ -26,7 +26,7 @@ namespace mpr::net {
 /// Holds a reference into the live packet — observers must copy out any
 /// fields they keep; the packet is recycled once delivery completes.
 struct TraceEvent {
-  enum class Kind { kSend, kDeliver, kDrop };
+  enum class Kind : std::uint8_t { kSend, kDeliver, kDrop };
   Kind kind{Kind::kSend};
   sim::TimePoint time;
   const Packet& packet;

@@ -111,6 +111,12 @@ class FlatVec {
     if (n > cap_) grow(n);
   }
 
+  /// Ensures capacity >= n, allocating exactly n when it grows: for callers
+  /// with their own growth policy (a capture's fixed chunks, a size hint).
+  void reserve_exact(std::size_t n) {
+    if (n > cap_) reallocate(n);
+  }
+
   T& operator[](std::size_t i) {
     assert(i < size_);
     return data_[i];
@@ -135,11 +141,16 @@ class FlatVec {
   }
 
  private:
-  // The only allocation in the class, deliberately out of line and cold so
-  // it can never be inlined into an audited hot function.
+  // Growth is deliberately out of line and cold so it can never be inlined
+  // into an audited hot function; reallocate() holds the class's only
+  // allocation.
   [[gnu::noinline, gnu::cold]] void grow(std::size_t need) {
     std::size_t cap = cap_ == 0 ? kMinCapacity : cap_;
     while (cap < need) cap *= 2;
+    reallocate(cap);
+  }
+
+  [[gnu::noinline, gnu::cold]] void reallocate(std::size_t cap) {
     T* data = std::allocator<T>().allocate(cap);
     if (size_ != 0) std::memcpy(data, data_, size_ * sizeof(T));
     if (data_ != nullptr) std::allocator<T>().deallocate(data_, cap_);

@@ -1,16 +1,24 @@
 // Analysis-layer tests: statistics, CCDFs, packet traces and the
-// tcptrace-style flow analyzer (cross-validated against endpoint metrics).
+// tcptrace-style flow analyzer (cross-validated against endpoint metrics
+// and against a std::map reference analyzer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
+#include <vector>
 
 #include "analysis/pcap.h"
 #include "analysis/stats.h"
 #include "analysis/trace.h"
 #include "analysis/trace_analyzer.h"
+#include "experiment/carriers.h"
+#include "experiment/run.h"
 #include "net/host.h"
 #include "net/link.h"
 #include "netem/background.h"
+#include "sim/rng.h"
 #include "tcp/endpoint.h"
 #include "tcp/listener.h"
 
@@ -327,6 +335,364 @@ TEST(PacketTrace, ClearEmptiesBuffer) {
   EXPECT_GT(rig.trace.size(), 0u);
   rig.trace.clear();
   EXPECT_EQ(rig.trace.size(), 0u);
+}
+
+TEST(PacketTrace, RecordDssMatchesPacketOption) {
+  sim::Simulation sim{1};
+  net::Network network{sim};
+  PacketTrace trace{network};
+  net::Packet plain;
+  plain.payload_bytes = 1400;
+  network.notify_drop(plain);
+  const net::DssOption options[] = {
+      {.dsn = 7, .length = 1400},
+      {.dsn = 1u << 20, .length = 900, .data_ack = 12345, .has_data_ack = true},
+      {.dsn = 99, .length = 0, .data_fin = true},
+      {.dsn = 1ull << 40, .length = 1400, .checksum = 0xbeef, .has_checksum = true},
+  };
+  std::vector<std::optional<net::DssOption>> sent{plain.tcp.dss_opt()};
+  for (const net::DssOption& o : options) {
+    net::Packet p;
+    p.tcp.set_dss(o);
+    sent.push_back(p.tcp.dss_opt());
+    network.notify_drop(p);
+  }
+  ASSERT_EQ(trace.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const std::optional<net::DssOption> got = trace.records()[i].dss();
+    ASSERT_EQ(got.has_value(), sent[i].has_value()) << "record " << i;
+    if (!got) continue;
+    EXPECT_EQ(got->dsn, sent[i]->dsn);
+    EXPECT_EQ(got->length, sent[i]->length);
+    EXPECT_EQ(got->data_ack, sent[i]->data_ack);
+    EXPECT_EQ(got->has_data_ack, sent[i]->has_data_ack);
+    EXPECT_EQ(got->data_fin, sent[i]->data_fin);
+    EXPECT_EQ(got->checksum, sent[i]->checksum);
+    EXPECT_EQ(got->has_checksum, sent[i]->has_checksum);
+  }
+}
+
+// --- Flat analyzer vs the std::map reference ------------------------------
+
+/// The analyzer as it stood before the flat rewrite, kept verbatim as the
+/// oracle: pending segments and retransmitted ranges in std::maps, Karn's
+/// check a scan over every retransmitted range.
+class MapTcptraceAnalyzer {
+ public:
+  explicit MapTcptraceAnalyzer(std::span<const TraceRecord> records) {
+    struct PendingSegment {
+      std::uint64_t end{0};
+      sim::TimePoint sent;
+    };
+    struct Work {
+      FlowReport report;
+      std::map<std::uint64_t, PendingSegment> pending;
+      std::map<std::uint64_t, std::uint64_t> rexmitted;  // seq -> end
+    };
+    std::map<net::FlowKey, Work> work;
+
+    for (const TraceRecord& r : records) {
+      if (r.kind == net::TraceEvent::Kind::kSend && r.payload > 0) {
+        Work& w = work[r.flow];
+        w.report.flow = r.flow;
+        ++w.report.data_packets_sent;
+        if (r.is_retransmit) {
+          ++w.report.retransmitted_packets;
+          w.rexmitted[r.seq] = r.seq + r.payload;
+          w.pending.erase(r.seq);
+        } else if (!w.pending.contains(r.seq)) {
+          w.pending.emplace(r.seq, PendingSegment{r.seq + r.payload, r.time});
+        }
+      }
+
+      if (r.kind == net::TraceEvent::Kind::kDeliver) {
+        if (r.payload > 0) {
+          work[r.flow].report.flow = r.flow;
+          work[r.flow].report.bytes_delivered += r.payload;
+        }
+        if ((r.flags & net::kFlagAck) != 0) {
+          const net::FlowKey data_dir = r.flow.reversed();
+          const auto it = work.find(data_dir);
+          if (it != work.end()) {
+            Work& w = it->second;
+            while (!w.pending.empty()) {
+              auto seg = w.pending.begin();
+              if (seg->second.end > r.ack) break;
+              const bool tainted =
+                  std::any_of(w.rexmitted.begin(), w.rexmitted.end(), [&](const auto& kv) {
+                    return kv.first < seg->second.end && kv.second > seg->first;
+                  });
+              if (!tainted) w.report.rtt_samples.push_back(r.time - seg->second.sent);
+              w.pending.erase(seg);
+            }
+          }
+        }
+      }
+    }
+
+    for (auto& [key, w] : work) {
+      if (w.report.data_packets_sent == 0 && w.report.bytes_delivered == 0) continue;
+      index_[key] = reports_.size();
+      reports_.push_back(std::move(w.report));
+    }
+  }
+
+  [[nodiscard]] const std::vector<FlowReport>& flows() const { return reports_; }
+  [[nodiscard]] const FlowReport* flow(const net::FlowKey& key) const {
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &reports_[it->second];
+  }
+
+ private:
+  std::vector<FlowReport> reports_;
+  std::map<net::FlowKey, std::size_t> index_;
+};
+
+void expect_same_report(const FlowReport& got, const FlowReport& want) {
+  EXPECT_EQ(got.flow, want.flow);
+  EXPECT_EQ(got.data_packets_sent, want.data_packets_sent);
+  EXPECT_EQ(got.retransmitted_packets, want.retransmitted_packets);
+  EXPECT_EQ(got.bytes_delivered, want.bytes_delivered);
+  EXPECT_EQ(got.rtt_samples, want.rtt_samples);
+}
+
+/// What an oracle comparison covered.
+struct Compared {
+  std::size_t rtt_samples{0};
+  std::uint64_t retransmits{0};
+};
+
+/// Runs both analyzers over `records` and requires identical output: the
+/// flows() list in order, and every flow() lookup including a miss.
+Compared expect_matches_reference(std::span<const TraceRecord> records) {
+  const TcptraceAnalyzer flat{records};
+  const MapTcptraceAnalyzer ref{records};
+  EXPECT_EQ(flat.flows().size(), ref.flows().size());
+  Compared seen;
+  for (std::size_t i = 0; i < std::min(flat.flows().size(), ref.flows().size()); ++i) {
+    expect_same_report(flat.flows()[i], ref.flows()[i]);
+    seen.rtt_samples += ref.flows()[i].rtt_samples.size();
+    seen.retransmits += ref.flows()[i].retransmitted_packets;
+    const FlowReport* hit = flat.flow(ref.flows()[i].flow);
+    EXPECT_EQ(hit, &flat.flows()[i]);
+  }
+  const net::FlowKey absent{net::SocketAddr{net::IpAddr{0xdead}, 1},
+                            net::SocketAddr{net::IpAddr{0xbeef}, 2}};
+  EXPECT_EQ(ref.flow(absent), nullptr);
+  EXPECT_EQ(flat.flow(absent), nullptr);
+  return seen;
+}
+
+/// A synthetic capture over several bidirectional connections. Each
+/// direction owns a table of overlapping segments (seq, len); sends pick
+/// segments out of order, repeat them, and retransmit them at their own
+/// length, ACKs are cumulative or land mid-segment, and drops, pure ACKs
+/// and flagless deliveries are mixed in.
+std::vector<TraceRecord> synthetic_trace(std::uint64_t seed) {
+  sim::Rng rng{seed};
+  struct Segment {
+    std::uint64_t seq;
+    std::uint32_t len;
+  };
+  struct Direction {
+    net::FlowKey flow;
+    std::vector<Segment> segments;
+    std::size_t next{0};  // first segment never sent in order yet
+  };
+  std::vector<Direction> dirs;
+  const int conns = static_cast<int>(rng.uniform_int(1, 4));
+  for (int c = 0; c < conns; ++c) {
+    const net::FlowKey fwd{net::SocketAddr{net::IpAddr{10}, 80},
+                           net::SocketAddr{net::IpAddr{static_cast<std::uint32_t>(1 + c % 2)},
+                                           static_cast<std::uint16_t>(40000 + c)}};
+    for (const net::FlowKey& flow : {fwd, fwd.reversed()}) {
+      Direction d{flow, {}, 0};
+      std::uint64_t seq = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
+      const int n = static_cast<int>(rng.uniform_int(5, 60));
+      for (int k = 0; k < n; ++k) {
+        d.segments.push_back(Segment{seq, static_cast<std::uint32_t>(rng.uniform_int(1, 3000))});
+        seq += static_cast<std::uint64_t>(rng.uniform_int(1, 1500));
+      }
+      dirs.push_back(std::move(d));
+    }
+  }
+
+  std::vector<TraceRecord> out;
+  std::int64_t now = 0;
+  const int events = static_cast<int>(rng.uniform_int(50, 800));
+  for (int e = 0; e < events; ++e) {
+    now += rng.uniform_int(0, 2'000'000);
+    Direction& d = dirs[static_cast<std::size_t>(rng.uniform_int(0, dirs.size() - 1))];
+    TraceRecord r;
+    r.time = sim::TimePoint::from_ns(now);
+    r.uid = static_cast<std::uint64_t>(e);
+    r.flow = d.flow;
+    r.flags = net::kFlagAck;
+    const double pick = rng.uniform();
+    const auto segment = [&]() -> const Segment& {
+      // Mostly the next new segment, sometimes any earlier or later one.
+      if (d.next < d.segments.size() && rng.chance(0.6)) return d.segments[d.next++];
+      return d.segments[static_cast<std::size_t>(rng.uniform_int(0, d.segments.size() - 1))];
+    };
+    if (pick < 0.40) {  // data send: new, duplicate, out of order or retransmit
+      const Segment& s = segment();
+      r.kind = net::TraceEvent::Kind::kSend;
+      r.seq = s.seq;
+      r.payload = s.len;
+      r.is_retransmit = rng.chance(0.25);
+      if (!r.is_retransmit && rng.chance(0.05)) {
+        r.payload = static_cast<std::uint32_t>(rng.uniform_int(1, 3000));  // re-split send
+      }
+    } else if (pick < 0.50) {  // pure ACK or SYN at the sender: no payload
+      r.kind = net::TraceEvent::Kind::kSend;
+      r.flags = rng.chance(0.5) ? net::kFlagAck : net::kFlagSyn;
+    } else if (pick < 0.60) {  // drop
+      const Segment& s = segment();
+      r.kind = net::TraceEvent::Kind::kDrop;
+      r.seq = s.seq;
+      r.payload = s.len;
+    } else {  // delivery: payload and/or an ACK of the reverse direction
+      r.kind = net::TraceEvent::Kind::kDeliver;
+      if (rng.chance(0.4)) {
+        const Segment& s = segment();
+        r.seq = s.seq;
+        r.payload = s.len;
+      }
+      const Direction* rev = nullptr;
+      for (const Direction& o : dirs) {
+        if (o.flow == d.flow.reversed()) rev = &o;
+      }
+      const Segment& acked =
+          rev->segments[static_cast<std::size_t>(rng.uniform_int(0, rev->segments.size() - 1))];
+      const double how = rng.uniform();
+      if (how < 0.6) {
+        r.ack = acked.seq + acked.len;  // cumulative, at a segment end
+      } else if (how < 0.9) {
+        r.ack = acked.seq + static_cast<std::uint64_t>(rng.uniform_int(0, acked.len));
+      } else {
+        r.ack = rev->segments.back().seq + 5000;  // covers everything
+      }
+      if (rng.chance(0.1)) r.flags = net::kFlagSyn;  // no ACK flag
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
+TEST(TraceAnalyzerOracle, RandomizedSyntheticTracesMatchMapReference) {
+  Compared total;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<TraceRecord> records = synthetic_trace(seed);
+    const Compared seen = expect_matches_reference(records);
+    total.rtt_samples += seen.rtt_samples;
+    total.retransmits += seen.retransmits;
+  }
+  // The traces really exercise the RTT sampler and Karn's check.
+  EXPECT_GT(total.rtt_samples, 1000u);
+  EXPECT_GT(total.retransmits, 1000u);
+}
+
+/// Compares both analyzers over a captured download of `run_cfg`.
+Compared expect_capture_matches_reference(const experiment::RunConfig& run_cfg,
+                                             std::uint64_t seed) {
+  experiment::TestbedConfig cfg;
+  cfg.seed = seed;
+  cfg.capture_trace = true;
+  experiment::Testbed tb{cfg};
+  const experiment::RunResult r = experiment::run_download(tb, run_cfg);
+  EXPECT_TRUE(r.completed);
+  const auto& records = tb.trace()->records();
+  return expect_matches_reference(std::span{records.begin(), records.end()});
+}
+
+TEST(TraceAnalyzerOracle, FaultedDownloadMatchesMapReference) {
+  experiment::RunConfig run;
+  run.cc = core::CcKind::kOlia;
+  run.file_bytes = 1 << 20;
+  run.faults
+      .burst_loss(0.3, "wifi",
+                  {.p_good_to_bad = 0.03, .p_bad_to_good = 0.25, .loss_good = 0.01,
+                   .loss_bad = 0.35})
+      .loss_clear(1.5, "wifi")
+      .iface_down(2.0, "wifi")
+      .iface_up(3.0, "wifi");
+  const Compared seen = expect_capture_matches_reference(run, 5);
+  EXPECT_GT(seen.rtt_samples, 100u);
+  EXPECT_GT(seen.retransmits, 0u);
+}
+
+TEST(TraceAnalyzerOracle, MiddleboxSplitDownloadMatchesMapReference) {
+  experiment::RunConfig run;
+  run.file_bytes = 1 << 20;
+  run.faults.middlebox(0.0, "wifi", "split", 3).middlebox(0.0, "cell", "split", 2);
+  EXPECT_GT(expect_capture_matches_reference(run, 6).rtt_samples, 100u);
+}
+
+/// Hand-written captures for one data direction: each add() is a record
+/// 1 ms after the previous one.
+struct DirectedTrace {
+  const net::FlowKey data{net::SocketAddr{net::IpAddr{10}, 80},
+                          net::SocketAddr{net::IpAddr{1}, 40000}};
+  std::vector<TraceRecord> records;
+
+  void send(std::uint64_t seq, std::uint32_t payload, bool rexmit = false) {
+    add(net::TraceEvent::Kind::kSend, data, seq, payload, 0, rexmit);
+  }
+  void ack(std::uint64_t ack) {
+    add(net::TraceEvent::Kind::kDeliver, data.reversed(), 0, 0, ack, false);
+  }
+
+ private:
+  void add(net::TraceEvent::Kind kind, const net::FlowKey& flow, std::uint64_t seq,
+           std::uint32_t payload, std::uint64_t ack, bool rexmit) {
+    TraceRecord r;
+    r.time = sim::TimePoint::from_ns(static_cast<std::int64_t>(records.size() + 1) * 1'000'000);
+    r.kind = kind;
+    r.flow = flow;
+    r.seq = seq;
+    r.payload = payload;
+    r.ack = ack;
+    r.flags = net::kFlagAck;
+    r.is_retransmit = rexmit;
+    records.push_back(r);
+  }
+};
+
+TEST(TraceAnalyzerOracle, SendAfterOverlappingRetransmitGetsNoSample) {
+  DirectedTrace t;
+  t.send(0, 1000);              // [0, 1000)
+  t.send(0, 1000, true);        // retransmitted
+  t.send(500, 1000);            // [500, 1500): overlaps it
+  t.send(3000, 1000);           // [3000, 4000): clean
+  t.ack(4000);
+  const TcptraceAnalyzer an{t.records};
+  const FlowReport* fr = an.flow(t.data);
+  ASSERT_NE(fr, nullptr);
+  EXPECT_EQ(fr->data_packets_sent, 4u);
+  EXPECT_EQ(fr->retransmitted_packets, 1u);
+  // Only [3000, 4000) is sampled, from its send (4th record) to the ACK.
+  ASSERT_EQ(fr->rtt_samples.size(), 1u);
+  EXPECT_EQ(fr->rtt_samples[0], sim::Duration::millis(1));
+  expect_matches_reference(t.records);
+}
+
+TEST(TraceAnalyzerOracle, ResendAfterRetransmitRearmsTheSegment) {
+  // A retransmit takes seq 0 out of the pending table; a later new send at
+  // seq 0 puts it back, so it holds the ACK sweep until it is covered.
+  DirectedTrace t;
+  t.send(0, 1000);
+  t.send(0, 1000, true);
+  t.send(0, 3000);              // [0, 3000), resent after the retransmit
+  t.send(1500, 500);            // [1500, 2000): clean
+  t.ack(2000);                  // stops at [0, 3000)
+  t.ack(3000);                  // samples [1500, 2000) here: 2 ms
+  const TcptraceAnalyzer an{t.records};
+  const FlowReport* fr = an.flow(t.data);
+  ASSERT_NE(fr, nullptr);
+  ASSERT_EQ(fr->rtt_samples.size(), 1u);
+  EXPECT_EQ(fr->rtt_samples[0], sim::Duration::millis(2));
+  expect_matches_reference(t.records);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Sequence-map tests (sim::SeqFlatMap over sim::FlatDeque). The SegRingTest
+// Flat container tests: FlatVec's exact reservation, and the sequence map
+// (sim::SeqFlatMap over sim::FlatDeque). The SegRingTest
 // cases pin the send-window shape — append at snd_nxt, retire from the
 // front, binary-searched lookups — and the SeqFlatMapTest cases pin the
 // sorted-map contract (dedup on insert, interior inserts, front sweeps)
@@ -13,6 +14,21 @@
 
 namespace mpr::sim {
 namespace {
+
+TEST(FlatVecTest, ReserveExactGrowsToTheRequestedCapacity) {
+  // A capture's fixed growth chunks and size hints rely on this: reserve()
+  // rounds up geometrically, reserve_exact() allocates what was asked.
+  FlatVec<std::uint64_t> v;
+  v.reserve_exact(100);
+  EXPECT_EQ(v.capacity(), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) v.push_back(i);
+  v.reserve_exact(50);  // never shrinks
+  EXPECT_EQ(v.capacity(), 100u);
+  v.reserve_exact(100 + 37);
+  EXPECT_EQ(v.capacity(), 137u);
+  ASSERT_EQ(v.size(), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(v[i], i);
+}
 
 TEST(SegRingTest, PushFindPopBasics) {
   SeqFlatMap<int> r;

@@ -295,15 +295,16 @@ std::string impaired_run(std::uint64_t seed) {
     d.u64(r.flags);
     d.u64(r.payload);
     d.u64(r.is_retransmit ? 1 : 0);
-    d.u64(r.dss ? 1 : 0);
-    if (r.dss) {
-      d.u64(r.dss->dsn);
-      d.u64(r.dss->length);
-      d.u64(r.dss->data_ack);
-      d.u64(r.dss->has_data_ack ? 1 : 0);
-      d.u64(r.dss->data_fin ? 1 : 0);
-      d.u64(r.dss->checksum);
-      d.u64(r.dss->has_checksum ? 1 : 0);
+    const std::optional<net::DssOption> dss = r.dss();
+    d.u64(dss ? 1 : 0);
+    if (dss) {
+      d.u64(dss->dsn);
+      d.u64(dss->length);
+      d.u64(dss->data_ack);
+      d.u64(dss->has_data_ack ? 1 : 0);
+      d.u64(dss->data_fin ? 1 : 0);
+      d.u64(dss->checksum);
+      d.u64(dss->has_checksum ? 1 : 0);
     }
   }
   const analysis::TcptraceAnalyzer an{*tb.trace()};

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                 r.flow.src.port, net::to_string(r.flow.dst.addr).c_str(), r.flow.dst.port,
                 fl.c_str(), static_cast<unsigned long long>(r.seq),
                 static_cast<unsigned long long>(r.ack), r.payload,
-                r.dss ? " dss" : "", r.is_retransmit ? " rexmit" : "");
+                r.dss() ? " dss" : "", r.is_retransmit ? " rexmit" : "");
   }
   return 0;
 }
