@@ -23,8 +23,8 @@
 #include "experiment/table.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
+#include "sim/parallel.h"
 #include "sim/parse.h"
-#include "sim/thread_pool.h"
 
 namespace mpr::bench {
 

@@ -14,9 +14,9 @@
 #include "check/audit.h"
 #include "experiment/series.h"
 #include "experiment/table.h"
+#include "sim/parallel.h"
 #include "sim/parse.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 
 namespace mpr::experiment {
 
@@ -294,7 +294,7 @@ SampledUser sample_user(const CampaignSpec& spec, std::uint64_t user) {
     // Option-stripping middlebox on the WiFi path from t=0 (applied at
     // install, so the very first SYN is intercepted): MPTCP users fall
     // back to plain TCP, single-path users are unaffected.
-    u.run.faults.middlebox(0.0, "wifi", "strip_syn");
+    u.run.faults.middlebox(0.0, "wifi", netem::MboxOp::kStripSyn);
   }
 
   u.label = to_string(mode) + "/" + core::to_string(cc) + "/" + to_string(carrier) + "/" +

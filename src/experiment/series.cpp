@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/parallel.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 
 namespace mpr::experiment {
 

@@ -36,12 +36,12 @@ class AlwaysDrop final : public LossModel {
 class BernoulliLoss final : public LossModel {
  public:
   BernoulliLoss(double probability, sim::Rng rng)
-      : gate_{probability}, rng_{std::move(rng)} {}
+      : probability_{probability}, rng_{std::move(rng)} {}
 
-  [[nodiscard]] bool should_drop() override { return gate_.sample(rng_); }
+  [[nodiscard]] bool should_drop() override { return rng_.chance(probability_); }
 
  private:
-  sim::BernoulliGate gate_;
+  double probability_;
   sim::Rng rng_;
 };
 
@@ -57,21 +57,15 @@ class GilbertElliottLoss final : public LossModel {
     double loss_bad{0.25};
   };
 
-  GilbertElliottLoss(Params params, sim::Rng rng)
-      : params_{params},
-        good_to_bad_{params.p_good_to_bad},
-        bad_to_good_{params.p_bad_to_good},
-        loss_good_{params.loss_good},
-        loss_bad_{params.loss_bad},
-        rng_{std::move(rng)} {}
+  GilbertElliottLoss(Params params, sim::Rng rng) : params_{params}, rng_{std::move(rng)} {}
 
   [[nodiscard]] bool should_drop() override {
     if (bad_) {
-      if (bad_to_good_.sample(rng_)) bad_ = false;
+      if (rng_.chance(params_.p_bad_to_good)) bad_ = false;
     } else {
-      if (good_to_bad_.sample(rng_)) bad_ = true;
+      if (rng_.chance(params_.p_good_to_bad)) bad_ = true;
     }
-    return (bad_ ? loss_bad_ : loss_good_).sample(rng_);
+    return rng_.chance(bad_ ? params_.loss_bad : params_.loss_good);
   }
 
   /// Long-run average loss probability (for calibration/tests).
@@ -83,12 +77,6 @@ class GilbertElliottLoss final : public LossModel {
 
  private:
   Params params_;
-  // The four probabilities re-tested on every packet, with their
-  // degenerate-p classification done once (sim::BernoulliGate).
-  sim::BernoulliGate good_to_bad_;
-  sim::BernoulliGate bad_to_good_;
-  sim::BernoulliGate loss_good_;
-  sim::BernoulliGate loss_bad_;
   sim::Rng rng_;
   bool bad_{false};
 };

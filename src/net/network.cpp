@@ -29,7 +29,7 @@ void Network::send(PacketPtr p) {
     return;
   }
   // No access network on either side (e.g. wired test rigs): direct delivery.
-  sim_.after(wired_delay_, [this, pkt = std::move(p)]() mutable { deliver_local(std::move(pkt)); });
+  sim_.after(kWiredDelay, [this, pkt = std::move(p)]() mutable { deliver_local(std::move(pkt)); });
 }
 
 void Network::deliver_local(PacketPtr p) {

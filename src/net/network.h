@@ -62,8 +62,7 @@ class Network {
   void add_observer(Observer o) { observers_.push_back(std::move(o)); }
   void notify_drop(const Packet& p);
 
-  [[nodiscard]] sim::Duration wired_delay() const { return wired_delay_; }
-  void set_wired_delay(sim::Duration d) { wired_delay_ = d; }
+  [[nodiscard]] static constexpr sim::Duration wired_delay() { return kWiredDelay; }
 
   [[nodiscard]] std::uint64_t next_packet_uid() { return next_uid_++; }
 
@@ -95,7 +94,7 @@ class Network {
   AddrTable<Link*> uplinks_;
   AddrTable<Link*> downlinks_;
   std::vector<Observer> observers_;
-  sim::Duration wired_delay_{sim::Duration::millis(1)};
+  static constexpr sim::Duration kWiredDelay = sim::Duration::millis(1);
   std::uint64_t next_uid_{1};
 };
 

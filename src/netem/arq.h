@@ -23,13 +23,13 @@ class ArqDelayModel {
   };
 
   ArqDelayModel(Config config, sim::Rng rng)
-      : config_{config}, retx_{config.retx_prob}, rng_{std::move(rng)} {}
+      : config_{config}, rng_{std::move(rng)} {}
 
   [[nodiscard]] sim::Duration extra_delay() {
-    if (!retx_.sample(rng_)) return sim::Duration::zero();
+    if (!rng_.chance(config_.retx_prob)) return sim::Duration::zero();
     // Geometric-ish number of rounds, truncated.
     int rounds = 1;
-    while (rounds < config_.max_rounds && retx_.sample(rng_)) ++rounds;
+    while (rounds < config_.max_rounds && rng_.chance(config_.retx_prob)) ++rounds;
     // Small uniform jitter so delays are not perfectly quantized.
     const double jitter = rng_.uniform(0.8, 1.2);
     return config_.round_delay * static_cast<double>(rounds) * jitter;
@@ -37,7 +37,6 @@ class ArqDelayModel {
 
  private:
   Config config_;
-  sim::BernoulliGate retx_;  // per-packet probability, classified once
   sim::Rng rng_;
 };
 

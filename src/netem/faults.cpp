@@ -71,10 +71,9 @@ FaultSchedule& FaultSchedule::iface_up(double at_s, std::string link) {
   return add(event_at(at_s, link, FaultEvent::Kind::kIfaceUp));
 }
 
-FaultSchedule& FaultSchedule::middlebox(double at_s, std::string link, std::string spec,
-                                        double a) {
+FaultSchedule& FaultSchedule::middlebox(double at_s, std::string link, MboxOp op, double a) {
   FaultEvent ev = event_at(at_s, link, FaultEvent::Kind::kMiddlebox, a);
-  ev.arg = std::move(spec);
+  ev.mbox = op;
   return add(std::move(ev));
 }
 
@@ -141,24 +140,27 @@ std::string add_event_line(FaultSchedule& out, const std::vector<std::string_vie
                     .loss_good = args[2],
                     .loss_bad = args[3]});
   } else if (action == "mbox") {
-    if (sub == "strip_syn" || sub == "strip_join" || sub == "strip_all" || sub == "off") {
-      if (!args.empty()) return "mbox " + sub + " takes no arguments";
-      out.middlebox(*at, link, sub);
-    } else if (sub == "nat_seq" || sub == "split" || sub == "corrupt") {
+    const std::optional<MboxOp> op = sim::from_name(kMboxOpNames, sub);
+    if (!op) {
+      return "unknown mbox subcommand '" + sub + "': expected " + sim::name_list(kMboxOpNames);
+    }
+    double a = 0;
+    if (*op == MboxOp::kCoalesce) {
+      if (!args_in(1, 0, kMaxMs)) return "mbox coalesce needs hold ms in [0, 1e9]";
+      a = args[0];
+    } else if (*op == MboxOp::kNatSeq || *op == MboxOp::kSplit || *op == MboxOp::kCorrupt) {
       // A sequence offset or an every-n count: a 32-bit integer.
       const std::optional<std::uint32_t> n =
           args.size() == 1 ? sim::int_from_string<std::uint32_t>(tok[4]) : std::nullopt;
-      if (!n || (sub != "nat_seq" && *n < 1)) {
-        return sub == "nat_seq" ? "mbox nat_seq needs an integer offset >= 0"
-                                : "mbox " + sub + " needs an integer every-n count >= 1";
+      if (!n || (*op != MboxOp::kNatSeq && *n < 1)) {
+        return *op == MboxOp::kNatSeq ? "mbox nat_seq needs an integer offset >= 0"
+                                      : "mbox " + sub + " needs an integer every-n count >= 1";
       }
-      out.middlebox(*at, link, sub, *n);
-    } else if (sub == "coalesce") {
-      if (!args_in(1, 0, kMaxMs)) return "mbox coalesce needs hold ms in [0, 1e9]";
-      out.middlebox(*at, link, sub, args[0]);
-    } else {
-      return "unknown mbox subcommand '" + sub + "'";
+      a = *n;
+    } else if (!args.empty()) {
+      return "mbox " + sub + " takes no arguments";
     }
+    out.middlebox(*at, link, *op, a);
   } else if (action == "sched") {
     // The name is checked where the scheduler kinds are known
     // (experiment::check_scenario); only the line's shape is checked here.
@@ -262,22 +264,31 @@ void FaultInjector::apply(const FaultEvent& ev) {
       break;
     case FaultEvent::Kind::kMiddlebox: {
       Middlebox& m = a.middlebox();
-      if (ev.arg == "strip_syn") {
-        m.set_strip(Middlebox::Strip::kSyn);
-      } else if (ev.arg == "strip_join") {
-        m.set_strip(Middlebox::Strip::kJoin);
-      } else if (ev.arg == "strip_all") {
-        m.set_strip(Middlebox::Strip::kAll);
-      } else if (ev.arg == "nat_seq") {
-        m.set_nat_seq(static_cast<std::uint64_t>(ev.a));
-      } else if (ev.arg == "split") {
-        m.set_split_every(static_cast<std::uint32_t>(ev.a));
-      } else if (ev.arg == "coalesce") {
-        m.set_coalesce_hold(sim::Duration::from_millis(ev.a));
-      } else if (ev.arg == "corrupt") {
-        m.set_corrupt_every(static_cast<std::uint32_t>(ev.a));
-      } else if (ev.arg == "off") {
-        m.reset_behaviour();
+      switch (ev.mbox) {
+        case MboxOp::kStripSyn:
+          m.set_strip(Middlebox::Strip::kSyn);
+          break;
+        case MboxOp::kStripJoin:
+          m.set_strip(Middlebox::Strip::kJoin);
+          break;
+        case MboxOp::kStripAll:
+          m.set_strip(Middlebox::Strip::kAll);
+          break;
+        case MboxOp::kOff:
+          m.reset_behaviour();
+          break;
+        case MboxOp::kNatSeq:
+          m.set_nat_seq(static_cast<std::uint64_t>(ev.a));
+          break;
+        case MboxOp::kSplit:
+          m.set_split_every(static_cast<std::uint32_t>(ev.a));
+          break;
+        case MboxOp::kCorrupt:
+          m.set_corrupt_every(static_cast<std::uint32_t>(ev.a));
+          break;
+        case MboxOp::kCoalesce:
+          m.set_coalesce_hold(sim::Duration::from_millis(ev.a));
+          break;
       }
       break;
     }

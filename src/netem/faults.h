@@ -45,9 +45,29 @@
 #include <vector>
 
 #include "netem/access.h"
+#include "sim/parse.h"
 #include "sim/simulation.h"
 
 namespace mpr::netem {
+
+/// What a `mbox` event does to the link's netem::Middlebox.
+enum class MboxOp : std::uint8_t {
+  kStripSyn,   // MP_CAPABLE / MP_JOIN removed from SYNs
+  kStripJoin,  // only MP_JOIN removed
+  kStripAll,   // every MPTCP option removed from every segment
+  kOff,        // back to a transparent wire
+  kNatSeq,     // sequence numbers shifted by `a`
+  kSplit,      // every `a`-th data segment split in two
+  kCorrupt,    // every `a`-th data segment corrupted
+  kCoalesce,   // back-to-back data segments merged, holding up to `a` ms
+};
+
+/// The `mbox` subcommand names a scenario accepts.
+inline constexpr sim::Name<MboxOp> kMboxOpNames[] = {
+    {"strip_syn", MboxOp::kStripSyn}, {"strip_join", MboxOp::kStripJoin},
+    {"strip_all", MboxOp::kStripAll}, {"off", MboxOp::kOff},
+    {"nat_seq", MboxOp::kNatSeq},     {"split", MboxOp::kSplit},
+    {"corrupt", MboxOp::kCorrupt},    {"coalesce", MboxOp::kCoalesce}};
 
 struct FaultEvent {
   enum class Kind {
@@ -59,7 +79,7 @@ struct FaultEvent {
     kLossClear,  // end a kBurstLoss episode
     kIfaceDown,  // interface removal: outage + on_iface_down notification
     kIfaceUp,    // interface return: restore + on_iface_up notification
-    kMiddlebox,  // configure the link's netem::Middlebox (`arg` = subcommand)
+    kMiddlebox,  // configure the link's netem::Middlebox (`mbox`, `a`)
     kScheduler,  // switch the MPTCP dispatch strategy (`arg` = name,
                  // `weights` = per-subflow shares; link is "conn")
   };
@@ -68,7 +88,8 @@ struct FaultEvent {
   std::string link;  // schedule-level link name ("wifi", "cell", ...)
   Kind kind{Kind::kOutage};
   double a{0}, b{0}, c{0}, d{0};
-  std::string arg{};  // kMiddlebox subcommand (strip_syn, ...) / kScheduler name
+  MboxOp mbox{MboxOp::kOff};      // kMiddlebox: what to do
+  std::string arg{};              // kScheduler: strategy name
   std::vector<double> weights{};  // kScheduler: per-subflow shares
 };
 
@@ -90,9 +111,8 @@ class FaultSchedule {
   FaultSchedule& loss_clear(double at_s, std::string link);
   FaultSchedule& iface_down(double at_s, std::string link);
   FaultSchedule& iface_up(double at_s, std::string link);
-  /// `spec` is an mbox subcommand (strip_syn | strip_join | strip_all |
-  /// nat_seq | split | coalesce | corrupt | off); `a` its numeric argument.
-  FaultSchedule& middlebox(double at_s, std::string link, std::string spec, double a = 0);
+  /// `a` is the numeric argument of nat_seq, split, corrupt and coalesce.
+  FaultSchedule& middlebox(double at_s, std::string link, MboxOp op, double a = 0);
   /// Connection-level strategy switch (pseudo-link "conn"): `name` is a
   /// core::kSchedulerNames name, `weights` its per-subflow shares.
   FaultSchedule& scheduler_change(double at_s, std::string name,

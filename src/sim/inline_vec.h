@@ -4,8 +4,7 @@
 // and an allocation per ACK carrying SACK information).
 //
 // Restricted to trivially copyable element types so moves and clears are
-// trivial; capacity overflow is a debug assert, and try_push_back offers a
-// checked variant that release builds can branch on.
+// trivial; capacity overflow is a debug assert.
 #pragma once
 
 #include <cassert>
@@ -30,23 +29,14 @@ class InlineVec {
   [[nodiscard]] constexpr std::size_t size() const { return size_; }
   [[nodiscard]] constexpr bool empty() const { return size_ == 0; }
   [[nodiscard]] static constexpr std::size_t capacity() { return N; }
-  [[nodiscard]] constexpr bool full() const { return size_ == N; }
 
   constexpr void clear() { size_ = 0; }
 
   /// Appends `v`; overflowing the inline capacity is a programming error
-  /// (debug assert). Use try_push_back where overflow is a reachable state.
+  /// (debug assert).
   constexpr void push_back(const T& v) {
     assert(size_ < N && "InlineVec capacity overflow");
     if (size_ < N) data_[size_++] = v;
-  }
-
-  /// Appends `v` if there is room; returns false (and leaves the vector
-  /// unchanged) when full.
-  [[nodiscard]] constexpr bool try_push_back(const T& v) {
-    if (size_ == N) return false;
-    data_[size_++] = v;
-    return true;
   }
 
   constexpr T& operator[](std::size_t i) {

@@ -36,7 +36,11 @@ static_assert(kDeadRtoCap <= kMaxRto);
 
 inline constexpr std::uint32_t kDupackThreshold = 3;
 
+/// Delayed ACK (Linux): ACK every second full segment or after the timeout.
 inline constexpr sim::Duration kDelackTimeout = sim::Duration::millis(40);
+/// Linux-style quick-ack phase: the first N data segments are acknowledged
+/// immediately so slow start is not throttled at connection startup.
+inline constexpr std::uint32_t kQuickackSegments = 16;
 
 struct TcpConfig {
   /// Initial slow-start threshold in bytes. The paper pins this to 64 KB to
@@ -56,11 +60,6 @@ struct TcpConfig {
   /// cellular "loss rates" of Tables 2/5 include exactly the spurious
   /// retransmission bursts F-RTO suppresses (see the ablation bench).
   bool frto_enabled{false};
-
-  bool delayed_ack{true};
-  /// Linux-style quick-ack phase: the first N data segments are acknowledged
-  /// immediately so slow start is not throttled at connection startup.
-  std::uint32_t quickack_segments{16};
 
   /// Per-destination metric cache (Linux tcp_metrics). Null — the paper's
   /// testbed setting (§3.1) — disables caching; otherwise new connections

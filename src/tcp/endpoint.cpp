@@ -62,7 +62,6 @@ TcpEndpoint::TcpEndpoint(net::Host& host, net::SocketAddr local, net::SocketAddr
       ssthresh_ = std::max<std::uint64_t>(*cached, 2 * kMss);
     }
   }
-  quickack_left_ = config_.quickack_segments;
   host_.register_flow(net::FlowKey{local_, remote_},
                       [this](net::PacketPtr p) { on_packet(std::move(p)); });
 }
@@ -604,7 +603,7 @@ void TcpEndpoint::handle_data(std::uint64_t offset, std::uint32_t len,
 // ACK generation.
 
 void TcpEndpoint::ack_received_data(bool out_of_order) {
-  if (out_of_order || !config_.delayed_ack || quickack_left_ > 0) {
+  if (out_of_order || quickack_left_ > 0) {
     send_ack_now();
     return;
   }

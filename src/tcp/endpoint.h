@@ -304,7 +304,7 @@ class TcpEndpoint : public FlowCc {
   sim::SeqFlatMap<RxSeg> ooo_;
   std::uint64_t ooo_bytes_{0};
   std::uint32_t segs_since_ack_{0};
-  std::uint32_t quickack_left_{0};
+  std::uint32_t quickack_left_{kQuickackSegments};
   sim::EventId delack_timer_{sim::kInvalidEventId};
   bool peer_fin_seen_{false};
   std::uint64_t peer_fin_seq_{0};

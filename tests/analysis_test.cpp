@@ -625,7 +625,8 @@ TEST(TraceAnalyzerOracle, FaultedDownloadMatchesMapReference) {
 TEST(TraceAnalyzerOracle, MiddleboxSplitDownloadMatchesMapReference) {
   experiment::RunConfig run;
   run.file_bytes = 1 << 20;
-  run.faults.middlebox(0.0, "wifi", "split", 3).middlebox(0.0, "cell", "split", 2);
+  run.faults.middlebox(0.0, "wifi", netem::MboxOp::kSplit, 3)
+      .middlebox(0.0, "cell", netem::MboxOp::kSplit, 2);
   EXPECT_GT(expect_capture_matches_reference(run, 6).rtt_samples, 100u);
 }
 

@@ -425,8 +425,8 @@ TEST(AuditE2E, WeightedAndRedundantSurviveFaultsAndMiddleboxes) {
                     {.p_good_to_bad = 0.1, .p_bad_to_good = 0.3, .loss_good = 0.01,
                      .loss_bad = 0.4})
         .loss_clear(6.0, "cell")
-        .middlebox(0.0, "wifi", "split", 2)
-        .middlebox(0.0, "cell", "coalesce", 2)
+        .middlebox(0.0, "wifi", netem::MboxOp::kSplit, 2)
+        .middlebox(0.0, "cell", netem::MboxOp::kCoalesce, 2)
         .scheduler_change(2.0, "rr")
         .scheduler_change(5.0, to_string(sched),
                           sched == core::SchedulerKind::kWeighted

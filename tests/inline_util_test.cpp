@@ -116,7 +116,6 @@ TEST(InlineVec, StartsEmptyWithFixedCapacity) {
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.capacity(), 4u);
-  EXPECT_FALSE(v.full());
 }
 
 TEST(InlineVec, PushBackAppendsInOrder) {
@@ -130,16 +129,6 @@ TEST(InlineVec, PushBackAppendsInOrder) {
   EXPECT_EQ(v[2], 30);
   EXPECT_EQ(v.front(), 10);
   EXPECT_EQ(v.back(), 30);
-}
-
-TEST(InlineVec, TryPushBackRefusesWhenFull) {
-  InlineVec<int, 2> v;
-  EXPECT_TRUE(v.try_push_back(1));
-  EXPECT_TRUE(v.try_push_back(2));
-  EXPECT_TRUE(v.full());
-  EXPECT_FALSE(v.try_push_back(3));  // unchanged on overflow
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v.back(), 2);
 }
 
 TEST(InlineVec, ClearKeepsNothingButAllowsReuse) {

@@ -41,6 +41,7 @@ using experiment::RunResult;
 using experiment::TestbedConfig;
 using netem::FaultEvent;
 using netem::FaultSchedule;
+using netem::MboxOp;
 
 // ---------------------------------------------------------------------------
 // Scenario parser: mbox actions.
@@ -62,17 +63,17 @@ TEST(MiddleboxSchedule, ParsesMboxActions) {
   for (const FaultEvent& ev : s.events()) {
     EXPECT_EQ(ev.kind, FaultEvent::Kind::kMiddlebox);
   }
-  EXPECT_EQ(s.events()[0].arg, "strip_syn");
-  EXPECT_EQ(s.events()[1].arg, "strip_join");
-  EXPECT_EQ(s.events()[2].arg, "strip_all");
-  EXPECT_EQ(s.events()[3].arg, "nat_seq");
+  EXPECT_EQ(s.events()[0].mbox, MboxOp::kStripSyn);
+  EXPECT_EQ(s.events()[1].mbox, MboxOp::kStripJoin);
+  EXPECT_EQ(s.events()[2].mbox, MboxOp::kStripAll);
+  EXPECT_EQ(s.events()[3].mbox, MboxOp::kNatSeq);
   EXPECT_DOUBLE_EQ(s.events()[3].a, 100000.0);
-  EXPECT_EQ(s.events()[4].arg, "split");
+  EXPECT_EQ(s.events()[4].mbox, MboxOp::kSplit);
   EXPECT_DOUBLE_EQ(s.events()[4].a, 3.0);
-  EXPECT_EQ(s.events()[5].arg, "coalesce");
-  EXPECT_EQ(s.events()[6].arg, "corrupt");
+  EXPECT_EQ(s.events()[5].mbox, MboxOp::kCoalesce);
+  EXPECT_EQ(s.events()[6].mbox, MboxOp::kCorrupt);
   EXPECT_EQ(s.events()[6].link, "cell");  // "cellular" normalized
-  EXPECT_EQ(s.events()[7].arg, "off");
+  EXPECT_EQ(s.events()[7].mbox, MboxOp::kOff);
 }
 
 TEST(MiddleboxSchedule, RejectsMalformedMboxLines) {
@@ -86,6 +87,10 @@ TEST(MiddleboxSchedule, RejectsMalformedMboxLines) {
   };
   expect_error("1.0 wifi mbox\n", "line 1");              // missing subcommand
   expect_error("1.0 wifi mbox explode\n", "line 1");      // unknown subcommand
+  // ... and the error lists every name the table accepts.
+  expect_error("1.0 wifi mbox explode\n",
+               "expected strip_syn | strip_join | strip_all | off | nat_seq | split | corrupt | "
+               "coalesce");
   expect_error("1.0 wifi mbox nat_seq\n", "line 1");      // missing offset
   expect_error("1.0 wifi mbox split 0\n", "line 1");      // every-n must be >= 1
   expect_error("1.0 wifi mbox corrupt\n", "line 1");      // missing count
@@ -96,10 +101,10 @@ TEST(MiddleboxSchedule, RejectsMalformedMboxLines) {
 
 TEST(MiddleboxSchedule, ReportsUnknownLinks) {
   FaultSchedule s;
-  s.middlebox(0.0, "wifi", "strip_syn")
-      .middlebox(0.0, "satellite", "strip_all")
+  s.middlebox(0.0, "wifi", MboxOp::kStripSyn)
+      .middlebox(0.0, "satellite", MboxOp::kStripAll)
       .outage(1.0, "lte")
-      .middlebox(2.0, "cellular", "corrupt", 4);  // normalizes to "cell": bound
+      .middlebox(2.0, "cellular", MboxOp::kCorrupt, 4);  // normalizes to "cell": bound
   // Each unbound name once, in order; "cellular" is bound as "cell".
   EXPECT_EQ(experiment::check_scenario(s),
             "unknown links 'satellite', 'lte' (bound: wifi, cell)");
@@ -110,8 +115,8 @@ TEST(MiddleboxSchedule, ReportsUnknownLinks) {
 
 FaultSchedule strip_syn_everywhere() {
   return FaultSchedule{}
-      .middlebox(0.0, "wifi", "strip_syn")
-      .middlebox(0.0, "cell", "strip_syn");
+      .middlebox(0.0, "wifi", MboxOp::kStripSyn)
+      .middlebox(0.0, "cell", MboxOp::kStripSyn);
 }
 
 RunConfig mbox_run(FaultSchedule s, std::uint64_t bytes) {
@@ -213,26 +218,27 @@ TEST_P(MboxMatrix, DeliversExactlyOnceUnderInterference) {
       s = strip_syn_everywhere();
       break;
     case MboxKind::kStripJoin:
-      s.middlebox(0.0, "cell", "strip_join");
+      s.middlebox(0.0, "cell", MboxOp::kStripJoin);
       break;
     case MboxKind::kStripAllMidstream:
       // The strict proxy appears on cellular while the download is running —
       // after the warm-up pings and the delayed MP_JOIN, so the subflow is
       // established and mid-transfer when its DSS options start vanishing.
       bytes = 8ull << 20;
-      s.middlebox(2.0, "cell", "strip_all");
+      s.middlebox(2.0, "cell", MboxOp::kStripAll);
       break;
     case MboxKind::kNatSeq:
-      s.middlebox(0.0, "wifi", "nat_seq", 500000).middlebox(0.0, "cell", "nat_seq", 123456);
+      s.middlebox(0.0, "wifi", MboxOp::kNatSeq, 500000)
+          .middlebox(0.0, "cell", MboxOp::kNatSeq, 123456);
       break;
     case MboxKind::kSplit:
-      s.middlebox(0.0, "cell", "split", 4);
+      s.middlebox(0.0, "cell", MboxOp::kSplit, 4);
       break;
     case MboxKind::kCoalesce:
-      s.middlebox(0.0, "cell", "coalesce", 1.0);
+      s.middlebox(0.0, "cell", MboxOp::kCoalesce, 1.0);
       break;
     case MboxKind::kCorrupt:
-      s.middlebox(0.0, "cell", "corrupt", 4);
+      s.middlebox(0.0, "cell", MboxOp::kCorrupt, 4);
       checksum = true;
       break;
   }
@@ -401,7 +407,7 @@ MboxOutcome run_mboxed(const MboxCase& mc, experiment::Testbed* keep_tb = nullpt
 TEST(StripJoin, SubflowRefusedConnectionSurvives) {
   MboxCase mc;
   mc.bytes = 2ull << 20;
-  mc.faults.middlebox(0.0, "cell", "strip_join");
+  mc.faults.middlebox(0.0, "cell", MboxOp::kStripJoin);
   const MboxOutcome out = run_mboxed(mc);
   ASSERT_TRUE(out.completed);
   EXPECT_FALSE(out.failed);
@@ -427,7 +433,7 @@ TEST(ChecksumCorruption, ExactlyOnceThroughMpFailAndInfiniteMapping) {
   mc.cfg.dss_checksum = true;
   // Both links corrupt: the first failure closes a subflow with MP_FAIL,
   // the next one hits the last subflow and forces the infinite mapping.
-  mc.faults.middlebox(0.0, "wifi", "corrupt", 5).middlebox(0.0, "cell", "corrupt", 5);
+  mc.faults.middlebox(0.0, "wifi", MboxOp::kCorrupt, 5).middlebox(0.0, "cell", MboxOp::kCorrupt, 5);
 
   TestbedConfig tb_cfg;
   tb_cfg.seed = mc.seed;
@@ -474,7 +480,7 @@ TEST(ChecksumCorruption, TeardownPolicyFailsTheConnection) {
   mc.deadline_s = 120;
   mc.cfg.dss_checksum = true;
   mc.cfg.checksum_teardown = true;
-  mc.faults.middlebox(0.0, "wifi", "corrupt", 4).middlebox(0.0, "cell", "corrupt", 4);
+  mc.faults.middlebox(0.0, "wifi", MboxOp::kCorrupt, 4).middlebox(0.0, "cell", MboxOp::kCorrupt, 4);
   const MboxOutcome out = run_mboxed(mc);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.failed) << "teardown policy must error out, not fall back";
@@ -609,7 +615,9 @@ TEST(Watchdog, DisabledCapsLeaveRunsUntouched) {
 TEST(MboxDeterminism, BitIdenticalAcrossJobCounts) {
   const TestbedConfig tb;
   RunConfig rc = mbox_run(
-      FaultSchedule{}.middlebox(0.0, "cell", "corrupt", 6).middlebox(0.0, "wifi", "split", 8),
+      FaultSchedule{}
+          .middlebox(0.0, "cell", MboxOp::kCorrupt, 6)
+          .middlebox(0.0, "wifi", MboxOp::kSplit, 8),
       2ull << 20);
   rc.dss_checksum = true;
   const std::vector<RunResult> serial = experiment::run_series(tb, rc, 2, 42, /*jobs=*/1);
@@ -642,7 +650,8 @@ TEST(MboxDeterminism, OffMiddleboxMatchesCleanRun) {
   const TestbedConfig tb;
   RunConfig clean = mbox_run(FaultSchedule{}, 1ull << 20);
   RunConfig off = mbox_run(
-      FaultSchedule{}.middlebox(0.0, "wifi", "off").middlebox(0.0, "cell", "off"), 1ull << 20);
+      FaultSchedule{}.middlebox(0.0, "wifi", MboxOp::kOff).middlebox(0.0, "cell", MboxOp::kOff),
+      1ull << 20);
   const RunResult a = experiment::run_download(tb, clean);
   const RunResult b = experiment::run_download(tb, off);
   ASSERT_TRUE(a.completed);

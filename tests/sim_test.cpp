@@ -1,17 +1,20 @@
 // Unit tests for the simulation core: time arithmetic, the event queue's
 // ordering/cancellation semantics, deterministic RNG streams, and the
-// campaign thread pool.
+// parallel campaign loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <latch>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/parallel.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
 #include "sim/time.h"
 
 namespace mpr::sim {
@@ -278,6 +281,8 @@ TEST(RngTest, ChanceExtremes) {
     EXPECT_FALSE(r.chance(0.0));
     EXPECT_TRUE(r.chance(1.0));
   }
+  // Degenerate probabilities never touch the engine.
+  EXPECT_EQ(r.engine()(), std::mt19937_64{7}());
 }
 
 TEST(RngTest, ChanceFrequency) {
@@ -309,13 +314,13 @@ TEST(RngTest, ParetoBounds) {
   for (int i = 0; i < 1000; ++i) EXPECT_GE(r.pareto(1.5, 2.0), 2.0);
 }
 
-// --- RngSequence: the hand-inlined fast paths in sim::Rng must reproduce
-// libstdc++'s distribution objects bit for bit — same engine draws, same
-// floating-point results. Each test runs Rng against a *fresh-per-call*
-// std:: distribution object on an identically seeded mt19937_64 and
-// EXPECT_EQ's the doubles (no tolerance: these are sequence pins, not
-// statistics). If any of these fail after a toolchain or Rng change,
-// simulation outputs are no longer comparable across PRs.
+// --- RngSequence: sim::Rng must reproduce the draw pattern of a std::
+// distribution object constructed fresh per call — same engine draws, same
+// floating-point results. Each test runs Rng against such an object on an
+// identically seeded mt19937_64 and EXPECT_EQ's the doubles (no tolerance:
+// these are sequence pins, not statistics). If any of these fail after a
+// toolchain or Rng change, simulation outputs are no longer comparable
+// across commits.
 
 TEST(RngSequence, UniformMatchesStdUniformReal) {
   Rng r{12345};
@@ -344,25 +349,6 @@ TEST(RngSequence, ChanceMatchesStdBernoulli) {
   }
   // The engines must still be in lockstep (same number of raw draws).
   EXPECT_EQ(r.engine()(), eng());
-}
-
-TEST(RngSequence, BernoulliGateMatchesChance) {
-  Rng ra{4242};
-  Rng rb{4242};
-  const BernoulliGate gate{0.37};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(gate.sample(ra), rb.chance(0.37)) << "draw " << i;
-  }
-  EXPECT_EQ(ra.engine()(), rb.engine()());
-  // Degenerate probabilities never touch the engine in either form.
-  Rng rc{1};
-  const BernoulliGate never{0.0};
-  const BernoulliGate always{1.0};
-  EXPECT_FALSE(never.sample(rc));
-  EXPECT_TRUE(always.sample(rc));
-  EXPECT_FALSE(never.draws());
-  EXPECT_FALSE(always.draws());
-  EXPECT_EQ(rc.engine()(), std::mt19937_64{1}());
 }
 
 TEST(RngSequence, ExponentialMatchesStdExponential) {
@@ -406,67 +392,6 @@ TEST(RngSequence, LogMedianFormMatchesMedianForm) {
   }
 }
 
-TEST(ThreadPoolTest, RunsEverySubmittedJob) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.thread_count(), 1u);
-  bool ran = false;
-  pool.submit([&ran] { ran = true; });
-  pool.wait();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolTest, JobExceptionReachesWait) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, RemainingJobsStillRunAfterAThrow) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count, i] {
-      if (i == 7) throw std::runtime_error{"boom"};
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  EXPECT_EQ(count.load(), 49);
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterAnException) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();  // must not rethrow the already-consumed error
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ParallelForIndex, ThrowRethrownAtLowestIndexEveryJobCount) {
   for (const unsigned jobs : {1u, 3u, 8u}) {
     std::vector<std::atomic<int>> hits(57);
@@ -494,11 +419,30 @@ TEST(ParallelForIndex, CoversEachIndexExactlyOnce) {
   }
 }
 
+TEST(ParallelForIndex, JobsRunConcurrently) {
+  // Every body waits until all four have started, so all four see the latch
+  // open only if four indices run at once, the calling thread included. The
+  // wait is bounded so a missing thread fails the test instead of hanging it.
+  std::latch all_started{4};
+  std::atomic<int> saw_all{0};
+  parallel_for_index(4, 4, [&](std::size_t) {
+    all_started.count_down();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!all_started.try_wait() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (all_started.try_wait()) ++saw_all;
+  });
+  EXPECT_EQ(saw_all.load(), 4);
+}
+
 TEST(ParallelForIndex, SerialPathPreservesIndexOrder) {
-  std::vector<std::size_t> order;
-  parallel_for_index(10, 1, [&order](std::size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 10u);
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  for (const unsigned jobs : {0u, 1u}) {
+    std::vector<std::size_t> order;
+    parallel_for_index(10, jobs, [&order](std::size_t i) { order.push_back(i); });
+    ASSERT_EQ(order.size(), 10u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i) << "jobs=" << jobs;
+  }
 }
 
 TEST(EffectiveJobs, ExplicitRequestWins) {

@@ -198,9 +198,8 @@ TEST_F(TcpWindowTest, InitialWindowTenSegments) {
   EXPECT_NEAR(w, 10.0 * kMss, 1.0);
 }
 
-TEST_F(TcpWindowTest, SlowStartDoublesPerRttWithoutDelack) {
+TEST_F(TcpWindowTest, SlowStartDoublesPerRtt) {
   TcpConfig cfg;
-  cfg.delayed_ack = false;
   cfg.initial_ssthresh = kInfiniteSsthresh;
   // RTT 100 ms. The server starts sending at ~150 ms (GET arrival); its
   // first flight is acked at ~250 ms, the second at ~350 ms.
@@ -212,7 +211,6 @@ TEST_F(TcpWindowTest, SlowStartDoublesPerRttWithoutDelack) {
 
 TEST_F(TcpWindowTest, SsthreshCapsSlowStart) {
   TcpConfig cfg;
-  cfg.delayed_ack = false;
   cfg.initial_ssthresh = 64 * 1024;
   const double w = cwnd_at(sim::Duration::millis(480), cfg);
   // Window exceeds ssthresh only via linear CA growth: ~1-2 MSS per RTT.
@@ -222,7 +220,6 @@ TEST_F(TcpWindowTest, SsthreshCapsSlowStart) {
 
 TEST_F(TcpWindowTest, CongestionAvoidanceGrowsRoughlyOneMssPerRtt) {
   TcpConfig cfg;
-  cfg.delayed_ack = false;
   cfg.initial_ssthresh = 64 * 1024;
   const double w1 = cwnd_at(sim::Duration::millis(600), cfg);
   const double w2 = cwnd_at(sim::Duration::millis(1600), cfg);  // +10 RTTs
@@ -347,35 +344,35 @@ TEST(TcpRecovery, RtoBackoffGrowsExponentially) {
 }
 
 TEST(TcpAcks, DelayedAcksReduceAckTraffic) {
-  auto count_acks = [](bool delayed) {
-    TcpRig rig;
-    std::uint64_t acks = 0;
-    rig.network.add_observer([&](const net::TraceEvent& ev) {
-      if (ev.kind == net::TraceEvent::Kind::kSend && ev.packet.payload_bytes == 0 &&
-          ev.packet.tcp.has(net::kFlagAck) && !ev.packet.tcp.has(net::kFlagSyn) &&
-          ev.packet.src == kClientAddr) {
-        ++acks;
-      }
-    });
-    TcpConfig cfg;
-    cfg.delayed_ack = delayed;
-    cfg.quickack_segments = delayed ? 4 : 0;
-    rig.acceptor = std::make_unique<TcpAcceptor>(
-        rig.server, kPort, cfg, [](TcpEndpoint& ep) {
-          ep.on_data = [&ep](std::uint64_t, std::uint32_t) { ep.write(500000); };
-        });
-    rig.client_ep = std::make_unique<TcpEndpoint>(
-        rig.client, net::SocketAddr{kClientAddr, 40000}, net::SocketAddr{kServerAddr, kPort},
-        cfg);
-    rig.client_ep->connect();
-    rig.client_ep->write(100);
-    rig.sim.run_for(sim::Duration::seconds(20));
-    EXPECT_EQ(rig.client_ep->metrics().bytes_received, 500000u);
-    return acks;
-  };
-  const std::uint64_t with_delack = count_acks(true);
-  const std::uint64_t without = count_acks(false);
-  EXPECT_LT(with_delack, without * 3 / 4);
+  // Past the quick-ack start the client ACKs every second segment, so its
+  // pure ACKs fall well short of the data segments it receives.
+  TcpRig rig;
+  std::uint64_t acks = 0;
+  std::uint64_t data_segments = 0;
+  rig.network.add_observer([&](const net::TraceEvent& ev) {
+    const net::Packet& p = ev.packet;
+    if (ev.kind == net::TraceEvent::Kind::kDeliver && p.dst == kClientAddr &&
+        p.payload_bytes > 0) {
+      ++data_segments;
+    }
+    if (ev.kind == net::TraceEvent::Kind::kSend && p.payload_bytes == 0 &&
+        p.tcp.has(net::kFlagAck) && !p.tcp.has(net::kFlagSyn) && p.src == kClientAddr) {
+      ++acks;
+    }
+  });
+  rig.acceptor = std::make_unique<TcpAcceptor>(
+      rig.server, kPort, TcpConfig{}, [](TcpEndpoint& ep) {
+        ep.on_data = [&ep](std::uint64_t, std::uint32_t) { ep.write(500000); };
+      });
+  rig.client_ep = std::make_unique<TcpEndpoint>(
+      rig.client, net::SocketAddr{kClientAddr, 40000}, net::SocketAddr{kServerAddr, kPort},
+      TcpConfig{});
+  rig.client_ep->connect();
+  rig.client_ep->write(100);
+  rig.sim.run_for(sim::Duration::seconds(20));
+  EXPECT_EQ(rig.client_ep->metrics().bytes_received, 500000u);
+  EXPECT_GE(data_segments, 500000u / kMss);
+  EXPECT_LT(acks, data_segments * 3 / 4);
 }
 
 TEST(TcpFlowControl, SenderRespectsReceiveWindow) {

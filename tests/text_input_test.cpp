@@ -259,12 +259,12 @@ TEST(TextInputProperty, ScenarioMutantsFailOnTheirLineOrStayInRange) {
           for (const double p : {ev.a, ev.b, ev.c, ev.d}) EXPECT_TRUE(in_range(p, 0, 1)) << mutant;
           break;
         case FaultEvent::Kind::kMiddlebox:
-          if (ev.arg == "coalesce") {
+          if (ev.mbox == netem::MboxOp::kCoalesce) {
             EXPECT_TRUE(in_range(ev.a, 0, 1e9)) << mutant;
           } else {
             // Offsets and every-n counts are 32-bit integers.
             EXPECT_TRUE(in_range(ev.a, 0, 4294967295.0) && ev.a == std::floor(ev.a)) << mutant;
-            if (ev.arg == "split" || ev.arg == "corrupt") {
+            if (ev.mbox == netem::MboxOp::kSplit || ev.mbox == netem::MboxOp::kCorrupt) {
               EXPECT_GE(ev.a, 1) << mutant;
             }
           }

@@ -41,7 +41,7 @@
 #include "experiment/series.h"
 #include "experiment/table.h"
 #include "netem/faults.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel.h"
 
 using namespace mpr;
 using namespace mpr::experiment;

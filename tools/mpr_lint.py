@@ -66,8 +66,8 @@ from pathlib import Path
 CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
 
 # Directories (relative path fragments) where the raw-new rule applies: the
-# packet hot path. src/sim is exempt (the service registry and thread pool
-# own memory by design), as are tests/tools/bench.
+# packet hot path. src/sim is exempt (the service registry owns memory by
+# design), as are tests/tools/bench.
 RAW_NEW_DIRS = ("net/", "tcp/", "core/")
 
 # Directories where node-based ordered containers are banned (the scheduler

@@ -53,7 +53,7 @@
 #include "experiment/carriers.h"
 #include "experiment/run.h"
 #include "experiment/series.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel.h"
 
 using namespace mpr;
 using namespace mpr::experiment;
